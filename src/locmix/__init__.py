@@ -18,7 +18,6 @@ The package provides:
 from .asymptotics import (
     AsymptoticParams,
     CorollaryParams,
-    SampleSet,
     asymptotic_params,
     corollary_params,
     sigma2_nu,
@@ -64,7 +63,6 @@ from .model import (
     verify_assumptions,
 )
 from .products import (
-    ProductDraw,
     ProductKind,
     QuadraticCache,
     precompute_quadratics,

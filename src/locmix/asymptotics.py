@@ -21,14 +21,13 @@ used when the shift dimension grows with n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidInputError, RegimeError, ZeroVectorError
 from .model import ModelSpec
-from .products import ProductDraw, ProductKind, QuadraticCache, precompute_quadratics
+from .products import ProductKind, QuadraticCache, precompute_quadratics
 
 _CHUNK = 8192
 
@@ -46,55 +45,43 @@ class AsymptoticParams:
 
 @dataclass(frozen=True)
 class CorollaryParams:
-    """Unconditional limits obtained by substituting the shift mean.
-
-    ``omega_mean``/``omega_cov`` are the mean and covariance of the shift,
-    ``gamma`` the limit of q/n (plumbing only; no sampler depends on it).
-    """
+    """Unconditional limits obtained by substituting the shift mean ``omega_mean``."""
 
     omega_mean: NDArray
-    omega_cov: NDArray | None
-    gamma: float | None
     sigma2: float
     sigma2_tilde: float | None
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Standardized Monte Carlo draws of one product statistic."""
+def _center_variance(
+    model: ModelSpec,
+    l: NDArray,
+    c: float,
+    nu: NDArray,
+    kind: ProductKind,
+    cache: QuadraticCache | None,
+) -> tuple[NDArray, NDArray]:
+    """(centre, variance) of the chosen product for a shift (q,) or a batch (N, q).
 
-    standardized: NDArray
-    kind: ProductKind
-    c: float
-    n: int
-    config: Any = None
-
-
-def _variance_cov(
-    cache: QuadraticCache, c: float, m_eig: NDArray, frobenius_variant: bool
-) -> tuple[float, float]:
-    """(centre, variance) of the covariance product for one rotated mean."""
-    center, quad = cache.cov_forms(m_eig)
-    trace_term = c * cache.tr_sigma2 if frobenius_variant else c * cache.tr_sigma2 / cache.p
-    variance = (quad + trace_term) * cache.l_sigma_l + center**2 + cache.l_sigma3_l
-    return center, variance
-
-
-def _variance_precision(
-    cache: QuadraticCache, c: float, m_eig: NDArray
-) -> tuple[float, float]:
-    """(centre, variance) of the precision product for one rotated mean.
-
-    Evaluates the delta^2 spelling and, in debug builds, checks it against
-    the direct spelling (they agree to rounding by construction).
+    The precision variance is evaluated in its delta^2 spelling and, in
+    debug builds, checked against the direct spelling (they agree to
+    rounding by construction).
     """
-    a, m, delta_sq = cache.precision_forms(m_eig)
+    cache = cache if cache is not None else precompute_quadratics(model, l)
+    if kind is ProductKind.COV_TIMES_MEAN:
+        if c < 0:
+            raise RegimeError("c must be >= 0")
+        center, quad = cache.cov_forms(cache.mu_nu_eig(nu))
+        trace_term = c * cache.tr_sigma2 / cache.p
+        return center, (quad + trace_term) * cache.l_sigma_l + center**2 + cache.l_sigma3_l
+    if not 0.0 <= c < 1.0:
+        raise RegimeError("c must lie in [0, 1) for the precision product")
+    a, m, delta_sq = cache.precision_forms(cache.mu_nu_eig(nu))
     b = cache.l_sigmainv_l
     factor = 1.0 / (1.0 - c) ** 3
     variance = factor * (2.0 * a * a + b * (1.0 + delta_sq))
     if __debug__:
         direct = factor * (a * a + b * (1.0 + m))
-        assert abs(variance - direct) <= 1e-9 * max(abs(direct), 1.0), (
+        assert np.all(np.abs(variance - direct) <= 1e-9 * np.maximum(np.abs(direct), 1.0)), (
             "precision variance spellings disagree"
         )
     return a / (1.0 - c), variance
@@ -106,23 +93,12 @@ def sigma2_nu(
     c: float,
     nu_value: NDArray,
     *,
-    frobenius_variant: bool = False,
     cache: QuadraticCache | None = None,
 ) -> float:
-    """Conditional limit variance of sqrt(n)-scaled ``l'S xbar``.
-
-    Parameters
-    ----------
-    frobenius_variant : bool
-        Use ``c * tr(Sigma^2)`` instead of ``c * tr(Sigma^2) / p`` in the
-        trace term.  Off by default; only useful for comparing against
-        outputs that were produced with the unnormalized spelling.
-    """
-    if c < 0:
-        raise RegimeError("c must be >= 0")
-    cache = cache if cache is not None else precompute_quadratics(model, l)
-    m_eig = cache.mu_nu_eig(np.asarray(nu_value, dtype=float).reshape(-1))
-    return _variance_cov(cache, c, m_eig, frobenius_variant)[1]
+    """Conditional limit variance of sqrt(n)-scaled ``l'S xbar``."""
+    return asymptotic_params(
+        model, l, c, nu_value, ProductKind.COV_TIMES_MEAN, cache=cache
+    ).variance
 
 
 def sigma2_tilde_nu(
@@ -134,13 +110,9 @@ def sigma2_tilde_nu(
     cache: QuadraticCache | None = None,
 ) -> float:
     """Conditional limit variance of sqrt(n)-scaled ``l'S^{-1} xbar``."""
-    if not 0.0 <= c < 1.0:
-        raise RegimeError("c must lie in [0, 1) for the precision product")
-    cache = cache if cache is not None else precompute_quadratics(model, l)
-    if cache.l_is_zero:
-        raise ZeroVectorError("l must be nonzero for the precision product")
-    m_eig = cache.mu_nu_eig(np.asarray(nu_value, dtype=float).reshape(-1))
-    return _variance_precision(cache, c, m_eig)[1]
+    return asymptotic_params(
+        model, l, c, nu_value, ProductKind.PRECISION_TIMES_MEAN, cache=cache
+    ).variance
 
 
 def asymptotic_params(
@@ -153,20 +125,11 @@ def asymptotic_params(
     cache: QuadraticCache | None = None,
 ) -> AsymptoticParams:
     """Bundle centre and variance of the chosen product for one shift."""
-    cache = cache if cache is not None else precompute_quadratics(model, l)
     nu_value = np.asarray(nu_value, dtype=float).reshape(-1)
-    m_eig = cache.mu_nu_eig(nu_value)
-    if kind is ProductKind.COV_TIMES_MEAN:
-        if c < 0:
-            raise RegimeError("c must be >= 0")
-        center, variance = _variance_cov(cache, c, m_eig, False)
-    else:
-        if not 0.0 <= c < 1.0:
-            raise RegimeError("c must lie in [0, 1) for the precision product")
-        if cache.l_is_zero:
-            raise ZeroVectorError("l must be nonzero for the precision product")
-        center, variance = _variance_precision(cache, c, m_eig)
-    return AsymptoticParams(kind=kind, c=c, center=center, variance=variance, nu_value=nu_value)
+    center, variance = _center_variance(model, l, c, nu_value, kind, cache)
+    return AsymptoticParams(
+        kind=kind, c=c, center=float(center), variance=float(variance), nu_value=nu_value
+    )
 
 
 def corollary_params(
@@ -175,8 +138,6 @@ def corollary_params(
     c: float,
     omega_mean: NDArray,
     *,
-    omega_cov: NDArray | None = None,
-    gamma: float | None = None,
     cache: QuadraticCache | None = None,
 ) -> CorollaryParams:
     """Unconditional limits: the conditional formulas evaluated at the shift mean.
@@ -186,21 +147,19 @@ def corollary_params(
     """
     cache = cache if cache is not None else precompute_quadratics(model, l)
     omega_mean = np.asarray(omega_mean, dtype=float).reshape(-1)
-    sigma2 = sigma2_nu(model, l, c, omega_mean, cache=cache)
     sigma2_tilde = None
     if 0.0 <= c < 1.0 and not cache.l_is_zero:
         sigma2_tilde = sigma2_tilde_nu(model, l, c, omega_mean, cache=cache)
     return CorollaryParams(
         omega_mean=omega_mean,
-        omega_cov=None if omega_cov is None else np.asarray(omega_cov, dtype=float),
-        gamma=gamma,
-        sigma2=sigma2,
+        sigma2=sigma2_nu(model, l, c, omega_mean, cache=cache),
         sigma2_tilde=sigma2_tilde,
     )
 
 
 def standardize(
-    draws: Sequence[ProductDraw] | Iterable[ProductDraw],
+    values: NDArray,
+    nus: NDArray,
     model: ModelSpec,
     l: NDArray,
     c: float,
@@ -208,41 +167,25 @@ def standardize(
     kind: ProductKind,
     *,
     cache: QuadraticCache | None = None,
-    frobenius_variant: bool = False,
-) -> SampleSet:
+) -> NDArray:
     """Centre and scale raw product draws with each draw's own shift.
 
-    Each draw is mapped to ``sqrt(n) * (value - centre(nu)) / sd(nu)``,
-    which is asymptotically standard normal.  Evaluation is vectorized in
-    chunks over the draws.
+    ``values`` (N,) are raw draws and ``nus`` (N, q) the shifts they were
+    drawn under.  Each draw is mapped to ``sqrt(n) * (value - centre(nu))
+    / sd(nu)``, which is asymptotically standard normal.  Evaluation is
+    vectorized in chunks of draws.
     """
-    draws = list(draws)
-    if not draws:
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if values.size == 0:
         raise InvalidInputError("draws must be nonempty")
+    nus = np.asarray(nus, dtype=float).reshape(values.size, -1)
     cache = cache if cache is not None else precompute_quadratics(model, l)
     if cache.l_is_zero:
         raise ZeroVectorError("standardization is undefined for l = 0 (zero variance)")
-    values = np.array([d.value for d in draws], dtype=float)
-    nus = np.array([d.nu_used for d in draws], dtype=float).reshape(len(draws), -1)
     out = np.empty_like(values)
     sqrt_n = np.sqrt(n)
-    for start in range(0, len(values), _CHUNK):
-        stop = min(start + _CHUNK, len(values))
-        m_eig = cache.mu_nu_eig_batch(nus[start:stop])
-        if kind is ProductKind.COV_TIMES_MEAN:
-            if c < 0:
-                raise RegimeError("c must be >= 0")
-            center, quad = cache.cov_forms_batch(m_eig)
-            trace_term = (
-                c * cache.tr_sigma2 if frobenius_variant else c * cache.tr_sigma2 / cache.p
-            )
-            variance = (quad + trace_term) * cache.l_sigma_l + center**2 + cache.l_sigma3_l
-        else:
-            if not 0.0 <= c < 1.0:
-                raise RegimeError("c must lie in [0, 1) for the precision product")
-            a, _, delta_sq = cache.precision_forms_batch(m_eig)
-            b = cache.l_sigmainv_l
-            center = a / (1.0 - c)
-            variance = (2.0 * a * a + b * (1.0 + delta_sq)) / (1.0 - c) ** 3
-        out[start:stop] = sqrt_n * (values[start:stop] - center) / np.sqrt(variance)
-    return SampleSet(standardized=out, kind=kind, c=c, n=n)
+    for start in range(0, values.size, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        center, variance = _center_variance(model, l, c, nus[rows], kind, cache)
+        out[rows] = sqrt_n * (values[rows] - center) / np.sqrt(variance)
+    return out

@@ -11,9 +11,10 @@ verify   : run a statistical verification suite and print a JSON report.
 density  : evaluate the log matrix density for a model file and a CSV
     data matrix.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 regime violation, 4 I/O failure.  All CSV numbers carry 17 significant
-digits so that 64-bit floats round-trip exactly.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+(including non-finite input), 3 regime violation, 4 I/O failure, 5 an
+adaptive routine missed its accuracy target.  All CSV numbers carry 17
+significant digits so that 64-bit floats round-trip exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .distributions import finite_array
 from .errors import (
+    AccuracyNotMetError,
     InvalidDimensionError,
     InvalidInputError,
     NotPositiveDefiniteError,
@@ -39,13 +42,8 @@ from .errors import (
 from .figures import figure_config
 from .harness import ExperimentConfig, default_nu, run_experiment, summarize_experiment
 from .kde import GofReport
-from .modelfile import load_model, nu_from_json, nu_to_json
+from .modelfile import load_model, nu_to_json, parse_nu
 from .products import ProductKind
-
-_PRODUCT_NAMES = {
-    ProductKind.COV_TIMES_MEAN: "cov",
-    ProductKind.PRECISION_TIMES_MEAN: "precision",
-}
 
 
 def _fmt(x: float) -> str:
@@ -59,7 +57,7 @@ def _config_to_json(cfg: ExperimentConfig, normal_column: bool) -> dict:
         "q": cfg.q,
         "c": cfg.c,
         "n_reps": cfg.n_reps,
-        "product": _PRODUCT_NAMES[cfg.product],
+        "product": cfg.product.value,
         "nu": nu_to_json(cfg.nu),
         "master_seed": cfg.master_seed,
         "model_seed": cfg.model_seed,
@@ -80,7 +78,7 @@ def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
             c=float(doc["c"]),
             n_reps=int(doc["n_reps"]),
             product=ProductKind(doc["product"]),
-            nu=nu_from_json(doc["nu"]),
+            nu=parse_nu(doc["nu"]),
             master_seed=int(doc["master_seed"]),
             model_seed=int(doc["model_seed"]),
             kde_grid=tuple(doc.get("kde_grid", (-4.0, 4.0, 201))),
@@ -148,10 +146,10 @@ def _run_and_write(
     cfg: ExperimentConfig, out: str, threads: int, normal_column: bool
 ) -> int:
     t0 = time.perf_counter()
-    sample = run_experiment(cfg, threads=threads)
-    report = summarize_experiment(sample)
+    standardized = run_experiment(cfg, threads=threads)
+    report = summarize_experiment(standardized, cfg)
     duration = time.perf_counter() - t0
-    _write_outputs(Path(out), cfg, sample.standardized, report, duration, normal_column)
+    _write_outputs(Path(out), cfg, standardized, report, duration, normal_column)
     return 0
 
 
@@ -214,6 +212,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         if isinstance(exc, OSError) and not Path(args.data).exists():
             raise
         raise InvalidInputError(f"could not parse data CSV: {exc}") from exc
+    data = finite_array(data, "data CSV")
     workspace = build_workspace(model, data.shape[1])
     value = log_density(workspace, model, data)
     print(json.dumps({"log_density": value}))
@@ -301,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
+    except AccuracyNotMetError as exc:
+        print(f"accuracy not met: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -23,13 +23,21 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidDimensionError, NotPositiveDefiniteError
+from .errors import InvalidDimensionError, InvalidInputError, NotPositiveDefiniteError
 from .rng import RngStream
+
+
+def finite_array(value, name: str) -> NDArray:
+    """``value`` as a float array; NaN or infinite entries raise InvalidInputError."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{name} must be finite (found NaN or infinity)")
+    return arr
 
 
 def _spd_cholesky(mat: NDArray, name: str) -> NDArray:
     """Lower Cholesky factor, raising a typed error when not SPD."""
-    arr = np.asarray(mat, dtype=float)
+    arr = finite_array(mat, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidDimensionError(f"{name} must be a square matrix")
     if not np.allclose(arr, arr.T, rtol=1e-10, atol=1e-12):
@@ -88,12 +96,12 @@ class GeneralizedAsymmetricLaplace:
     s: float
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float).reshape(-1)
+        m = finite_array(self.m, "m").reshape(-1)
         chol = _spd_cholesky(self.sigma, "sigma")
         if m.shape[0] != chol.shape[0]:
             raise InvalidDimensionError("m and sigma dimensions disagree")
-        if not self.s > 0:
-            raise ValueError("shape parameter s must be positive")
+        if not 0 < self.s < np.inf:
+            raise InvalidInputError("shape parameter s must be positive and finite")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
         object.__setattr__(self, "_chol", chol)
@@ -110,7 +118,7 @@ class Degenerate:
     value: NDArray
 
     def __post_init__(self):
-        object.__setattr__(self, "value", np.asarray(self.value, dtype=float).reshape(-1))
+        object.__setattr__(self, "value", finite_array(self.value, "value").reshape(-1))
 
     @property
     def q(self) -> int:

@@ -33,11 +33,6 @@ PANEL_TABLE: dict[str, dict] = {
     "d": {"n": 1000, "family": "gal"},
 }
 
-_PRODUCT_BY_NAME = {
-    "cov": ProductKind.COV_TIMES_MEAN,
-    "precision": ProductKind.PRECISION_TIMES_MEAN,
-}
-
 
 def figure_config(
     figure: int,
@@ -61,7 +56,7 @@ def figure_config(
         q=DEFAULT_Q,
         c=fig["c"],
         n_reps=n_reps,
-        product=_PRODUCT_BY_NAME[fig["product"]],
+        product=ProductKind(fig["product"]),
         nu=default_nu(pan["family"], DEFAULT_Q),
         master_seed=master_seed,
         model_seed=model_seed,

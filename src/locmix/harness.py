@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .asymptotics import SampleSet, standardize
+from .asymptotics import standardize
 from .distributions import (
     GeneralizedAsymmetricLaplace,
     NuDistribution,
@@ -27,7 +27,6 @@ from .errors import InvalidInputError, RegimeError
 from .kde import GofReport, summarize
 from .model import ModelSpec
 from .products import (
-    ProductDraw,
     ProductKind,
     precompute_quadratics,
     sample_cov_product,
@@ -116,7 +115,7 @@ def generate_paper_model(
 
 
 def _draw_range(cfg: ExperimentConfig, start: int, count: int) -> tuple[NDArray, NDArray]:
-    """Raw draws for replicates [start, start+count), one stream each."""
+    """Raw draws and their shifts for replicates [start, start+count), one stream each."""
     model = generate_paper_model(cfg.p, cfg.q, cfg.model_seed, nu=cfg.nu)
     l = np.ones(cfg.p)
     cache = precompute_quadratics(model, l)
@@ -129,14 +128,12 @@ def _draw_range(cfg: ExperimentConfig, start: int, count: int) -> tuple[NDArray,
     nus = np.empty((count, cfg.q))
     for i in range(count):
         rng = RngStream(cfg.master_seed, start + i)
-        draw = sampler(model, l, cfg.n, rng, cache=cache)
-        values[i] = draw.value
-        nus[i] = draw.nu_used
+        values[i], nus[i] = sampler(model, l, cfg.n, rng, cache=cache)
     return values, nus
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int | None = 1) -> SampleSet:
-    """Produce the standardized sample of one experiment.
+def run_experiment(cfg: ExperimentConfig, threads: int | None = 1) -> NDArray:
+    """Produce the (n_reps,) standardized sample of one experiment.
 
     ``threads`` only controls how replicate ranges are spread over worker
     processes; the output is identical for every value.
@@ -145,37 +142,19 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = 1) -> SampleSet:
     if n_workers == 1:
         values, nus = _draw_range(cfg, 0, cfg.n_reps)
     else:
-        bounds = np.linspace(0, cfg.n_reps, n_workers + 1).astype(int)
-        chunks = [
-            (cfg, int(lo), int(hi - lo))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+        bounds = np.unique(np.linspace(0, cfg.n_reps, n_workers + 1).astype(int)).tolist()
+        starts, counts = bounds[:-1], np.diff(bounds).tolist()
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(_draw_range_star, chunks))
+            parts = list(pool.map(_draw_range, [cfg] * len(starts), starts, counts))
         values = np.concatenate([v for v, _ in parts])
         nus = np.concatenate([m for _, m in parts])
     model = generate_paper_model(cfg.p, cfg.q, cfg.model_seed, nu=cfg.nu)
-    l = np.ones(cfg.p)
-    draws = [ProductDraw(value=float(v), nu_used=nu) for v, nu in zip(values, nus)]
-    sample = standardize(draws, model, l, cfg.c, cfg.n, cfg.product)
-    return SampleSet(
-        standardized=sample.standardized,
-        kind=cfg.product,
-        c=cfg.c,
-        n=cfg.n,
-        config=cfg,
-    )
+    return standardize(values, nus, model, np.ones(cfg.p), cfg.c, cfg.n, cfg.product)
 
 
-def _draw_range_star(args: tuple) -> tuple[NDArray, NDArray]:
-    return _draw_range(*args)
-
-
-def summarize_experiment(sample: SampleSet) -> GofReport:
+def summarize_experiment(standardized: NDArray, cfg: ExperimentConfig) -> GofReport:
     """Score a finished experiment with the config's grids."""
-    cfg: ExperimentConfig = sample.config
     lo, hi, points = cfg.kde_grid
     grid = np.linspace(lo, hi, points)
     bw_grid = None if cfg.bandwidth_grid is None else np.asarray(cfg.bandwidth_grid)
-    return summarize(sample.standardized, kde_grid=grid, bandwidth_grid=bw_grid)
+    return summarize(standardized, kde_grid=grid, bandwidth_grid=bw_grid)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .distributions import NuDistribution, sample_nu
+from .distributions import NuDistribution, finite_array, sample_nu
 from .errors import (
     InvalidDimensionError,
     InvalidInputError,
@@ -30,6 +30,8 @@ from .rng import RngStream
 @dataclass(frozen=True)
 class ModelSpec:
     """Parameters of one location-mixture Gaussian model.
+
+    Every entry must be finite; NaN or infinity raises InvalidInputError.
 
     Parameters
     ----------
@@ -49,9 +51,9 @@ class ModelSpec:
     nu: NuDistribution
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).reshape(-1)
-        sigma = np.asarray(self.sigma, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        mu = finite_array(self.mu, "mu").reshape(-1)
+        sigma = finite_array(self.sigma, "sigma")
+        b = finite_array(self.b, "b")
         if b.ndim != 2:
             raise InvalidDimensionError("b must be a (p, q) matrix")
         p = mu.shape[0]
@@ -88,7 +90,6 @@ class SigmaDecomposition:
     eigenvalues: NDArray
     eigenvectors: NDArray
     sqrt_factor: NDArray
-    inverse_available: bool
 
 
 @dataclass(frozen=True)
@@ -155,12 +156,7 @@ def decompose_sigma(sigma: NDArray) -> SigmaDecomposition:
             f"sigma is not positive definite (lambda_min={lam_min:.3e})", lam_min
         )
     sqrt_factor = vec * np.sqrt(lam)
-    return SigmaDecomposition(
-        eigenvalues=lam,
-        eigenvectors=vec,
-        sqrt_factor=sqrt_factor,
-        inverse_available=True,
-    )
+    return SigmaDecomposition(eigenvalues=lam, eigenvectors=vec, sqrt_factor=sqrt_factor)
 
 
 def verify_assumptions(model: ModelSpec, l: NDArray) -> AssumptionReport:

@@ -45,7 +45,8 @@ def _parse_matrix(node, name: str) -> NDArray:
     return dense
 
 
-def _parse_nu(node) -> NuDistribution:
+def parse_nu(node) -> NuDistribution:
+    """Parse a mixing-law description (the ``nu`` schema node)."""
     if not isinstance(node, dict) or "kind" not in node:
         raise InvalidInputError("nu must be an object with a 'kind' field")
     kind = node["kind"]
@@ -62,11 +63,6 @@ def _parse_nu(node) -> NuDistribution:
     raise InvalidInputError(f"unknown nu kind {kind!r}")
 
 
-def nu_from_json(node) -> NuDistribution:
-    """Parse a mixing-law description (the ``nu`` schema node)."""
-    return _parse_nu(node)
-
-
 def load_model(path: str | Path) -> ModelSpec:
     """Read a model specification from a JSON file."""
     try:
@@ -77,7 +73,7 @@ def load_model(path: str | Path) -> ModelSpec:
         mu = np.asarray(doc["mu"], dtype=float)
         sigma = _parse_matrix(doc["sigma"], "sigma")
         b = np.asarray(doc["b"], dtype=float)
-        nu = _parse_nu(doc["nu"])
+        nu = parse_nu(doc["nu"])
     except KeyError as exc:
         raise InvalidInputError(f"model file is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

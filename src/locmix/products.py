@@ -22,7 +22,6 @@ Monte Carlo studies never touch a p x n matrix.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,20 +43,13 @@ class ProductKind(enum.Enum):
     PRECISION_TIMES_MEAN = "precision"
 
 
-@dataclass(frozen=True)
-class ProductDraw:
-    """One product realization together with the shift it was drawn under."""
-
-    value: float
-    nu_used: NDArray
-
-
 class QuadraticCache:
     """Eigenbasis rotation of (model, l) plus every scalar form the samplers need.
 
     Immutable after construction and safe to share across threads.  The
-    per-shift quantities are available both for a single ``nu`` vector and
-    vectorized over a (N, q) batch.
+    per-shift forms contract over the last axis, so they take one shift
+    ``(q,)`` or rotated mean ``(p,)`` and return scalars, or a batch
+    ``(N, q)`` / ``(N, p)`` and return ``(N,)`` arrays.
     """
 
     def __init__(self, model: ModelSpec, l: NDArray):
@@ -67,13 +59,11 @@ class QuadraticCache:
         dec = decompose_sigma(model.sigma)
         lam = dec.eigenvalues
         u_t = dec.eigenvectors.T
-        self.model = model
-        self.l = l
         self.p = model.p
         self.eigenvalues = lam
         self.l_eig = u_t @ l
         self.mu_eig = u_t @ model.mu
-        self.b_eig = u_t @ model.b
+        self.b_eig_t = (u_t @ model.b).T
         self.l_sigma_l = float(np.sum(lam * self.l_eig**2))
         self.l_sigma3_l = float(np.sum(lam**3 * self.l_eig**2))
         self.l_sigmainv_l = float(np.sum(self.l_eig**2 / lam))
@@ -82,19 +72,17 @@ class QuadraticCache:
         # Weight vectors reused by the per-draw dot products.
         self._lam_l = lam * self.l_eig
         self._l_over_lam = self.l_eig / lam
+        self._inv_lam = 1.0 / lam
 
-    def mu_nu_eig(self, nu_value: NDArray) -> NDArray:
+    def mu_nu_eig(self, nu: NDArray) -> NDArray:
         """Shifted mean ``mu + B nu`` expressed in the eigenbasis."""
-        return self.mu_eig + self.b_eig @ nu_value
+        return self.mu_eig + nu @ self.b_eig_t
 
-    def cov_forms(self, m_eig: NDArray) -> tuple[float, float]:
+    def cov_forms(self, m_eig: NDArray) -> tuple[NDArray, NDArray]:
         """(l'Sigma mu_nu, mu_nu'Sigma mu_nu) from the rotated shifted mean."""
-        return (
-            float(self._lam_l @ m_eig),
-            float(np.sum(self.eigenvalues * m_eig**2)),
-        )
+        return m_eig @ self._lam_l, m_eig**2 @ self.eigenvalues
 
-    def precision_forms(self, m_eig: NDArray) -> tuple[float, float, float]:
+    def precision_forms(self, m_eig: NDArray) -> tuple[NDArray, NDArray, NDArray]:
         """(l'Sigma^{-1} mu_nu, mu_nu'Sigma^{-1} mu_nu, delta^2) from the rotated mean.
 
         ``delta^2 = mu_nu'Sigma^{-1}mu_nu - (l'Sigma^{-1}mu_nu)^2 /
@@ -103,39 +91,14 @@ class QuadraticCache:
         rounding.
         """
         if self.l_is_zero:
-            raise ZeroVectorError("l must be nonzero for precision-product forms")
-        a = float(self._l_over_lam @ m_eig)
-        m = float(np.sum(m_eig**2 / self.eigenvalues))
-        delta_sq = max(m - a * a / self.l_sigmainv_l, 0.0)
-        return a, m, delta_sq
-
-    # Vectorized variants: `nus` has shape (N, q), outputs have shape (N,).
-
-    def mu_nu_eig_batch(self, nus: NDArray) -> NDArray:
-        return self.mu_eig[:, None] + self.b_eig @ nus.T
-
-    def cov_forms_batch(self, m_eig: NDArray) -> tuple[NDArray, NDArray]:
-        return self._lam_l @ m_eig, self.eigenvalues @ m_eig**2
-
-    def precision_forms_batch(self, m_eig: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-        if self.l_is_zero:
-            raise ZeroVectorError("l must be nonzero for precision-product forms")
-        a = self._l_over_lam @ m_eig
-        m = (1.0 / self.eigenvalues) @ m_eig**2
-        delta_sq = np.maximum(m - a * a / self.l_sigmainv_l, 0.0)
-        return a, m, delta_sq
+            raise ZeroVectorError("l must be nonzero for the precision product")
+        a = m_eig @ self._l_over_lam
+        m = m_eig**2 @ self._inv_lam
+        return a, m, np.maximum(m - a * a / self.l_sigmainv_l, 0.0)
 
 
 def precompute_quadratics(model: ModelSpec, l: NDArray) -> QuadraticCache:
     """Build the immutable scalar-form cache for a (model, l) pair."""
-    return QuadraticCache(model, l)
-
-
-def _resolve_cache(
-    model: ModelSpec, l: NDArray, cache: QuadraticCache | None
-) -> QuadraticCache:
-    if cache is not None:
-        return cache
     return QuadraticCache(model, l)
 
 
@@ -146,8 +109,8 @@ def sample_cov_product(
     rng: RngStream,
     fixed_nu: NDArray | None = None,
     cache: QuadraticCache | None = None,
-) -> ProductDraw:
-    """Draw one exact realization of ``l'S xbar``.
+) -> tuple[float, NDArray]:
+    """Draw one exact realization of ``l'S xbar``; returns ``(value, nu)``.
 
     Valid in both the invertible (p <= n-1) and singular (p > n-1)
     regimes.  ``l = 0`` is allowed and yields 0.  Draw order per stream:
@@ -162,7 +125,7 @@ def sample_cov_product(
     """
     if n < 2:
         raise InvalidDimensionError("n must be >= 2")
-    cache = _resolve_cache(model, l, cache)
+    cache = cache if cache is not None else QuadraticCache(model, l)
     nu_value = (
         np.asarray(fixed_nu, dtype=float).reshape(-1)
         if fixed_nu is not None
@@ -181,7 +144,7 @@ def sample_cov_product(
     else:
         bracket = max(quad * cache.l_sigma_l - g * g, 0.0)
     value = xi / (n - 1) * g + np.sqrt(xi) * np.sqrt(bracket) * z0 / (n - 1)
-    return ProductDraw(value=float(value), nu_used=nu_value)
+    return float(value), nu_value
 
 
 def sample_precision_product(
@@ -191,8 +154,8 @@ def sample_precision_product(
     rng: RngStream,
     fixed_nu: NDArray | None = None,
     cache: QuadraticCache | None = None,
-) -> ProductDraw:
-    """Draw one exact realization of ``l'S^{-1} xbar``.
+) -> tuple[float, NDArray]:
+    """Draw one exact realization of ``l'S^{-1} xbar``; returns ``(value, nu)``.
 
     Requires ``p < n - 1`` (so that S is invertible with finite inverse
     moments) and a nonzero ``l``.  Draw order per stream: nu (unless
@@ -204,9 +167,7 @@ def sample_precision_product(
         raise RegimeError(
             f"precision product needs p < n - 1 (got p={model.p}, n={n})"
         )
-    cache = _resolve_cache(model, l, cache)
-    if cache.l_is_zero:
-        raise ZeroVectorError("l must be nonzero for the precision product")
+    cache = cache if cache is not None else QuadraticCache(model, l)
     nu_value = (
         np.asarray(fixed_nu, dtype=float).reshape(-1)
         if fixed_nu is not None
@@ -224,4 +185,4 @@ def sample_precision_product(
             1.0 + (p - 1) / (n - p + 1) * eta
         )
     value = (n - 1) / xi_tilde * (a + noise_scale * z0 / np.sqrt(n))
-    return ProductDraw(value=float(value), nu_used=nu_value)
+    return float(value), nu_value

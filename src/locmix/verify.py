@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.stats import ks_2samp
 
-from .asymptotics import sigma2_nu, sigma2_tilde_nu
+from .asymptotics import asymptotic_params, sigma2_nu, sigma2_tilde_nu
 from .density import (
     build_workspace,
     log_density,
@@ -36,6 +36,7 @@ from .distributions import (
 from .harness import default_nu, generate_paper_model
 from .model import ModelSpec, sample_data_matrix, sample_mean_and_cov
 from .products import (
+    ProductKind,
     precompute_quadratics,
     sample_cov_product,
     sample_precision_product,
@@ -44,6 +45,14 @@ from .rng import RngStream
 
 # Disjoint stream-index blocks keep every check on independent streams.
 _BLOCK = 1_000_000
+
+# The (p, n, q) = (1, 2, 1) half-normal model of the density checks.
+_TINY_MODEL = ModelSpec(
+    mu=np.array([0.3]),
+    sigma=np.array([[0.8]]),
+    b=np.array([[0.7]]),
+    nu=TruncatedNormalAbs(np.array([[1.5]])),
+)
 
 
 @dataclass
@@ -118,17 +127,15 @@ def representation_vs_oracle(
         for family in ("tn", "gal"):
             model, l = _dense_test_model(p, q, seed + block, family)
             cache = precompute_quadratics(model, l)
-            for product in ("cov", "precision"):
+            for product, sampler in (
+                ("cov", sample_cov_product),
+                ("precision", sample_precision_product),
+            ):
                 block += 1
                 rep = np.empty(n_draws)
                 for i in range(n_draws):
                     rng = RngStream(seed, block * _BLOCK + i)
-                    if product == "cov":
-                        rep[i] = sample_cov_product(model, l, n, rng, cache=cache).value
-                    else:
-                        rep[i] = sample_precision_product(
-                            model, l, n, rng, cache=cache
-                        ).value
+                    rep[i] = sampler(model, l, n, rng, cache=cache)[0]
                 block += 1
                 oracle = _oracle_product_draws(
                     model, l, n, seed + 7919, n_draws, product == "precision"
@@ -157,7 +164,7 @@ def singular_regime_vs_oracle(
         rep = np.empty(n_draws)
         for i in range(n_draws):
             rng = RngStream(seed + 1, k * _BLOCK + i)
-            rep[i] = sample_cov_product(model, l, n, rng, cache=cache).value
+            rep[i] = sample_cov_product(model, l, n, rng, cache=cache)[0]
         oracle = _oracle_product_draws(model, l, n, seed + 104729 + k, n_draws, False)
         ks = ks_2samp(rep, oracle).statistic
         results.append(
@@ -356,9 +363,9 @@ def conditional_variance_cov(
     for i in range(n_reps):
         vals[i] = sample_cov_product(
             model, l, n, RngStream(seed, 14 * _BLOCK + i), fixed_nu=nu_fix, cache=cache
-        ).value
-    center = cache.cov_forms(cache.mu_nu_eig(nu_fix))[0]
-    target = sigma2_nu(model, l, c, nu_fix, cache=cache)
+        )[0]
+    params = asymptotic_params(model, l, c, nu_fix, ProductKind.COV_TIMES_MEAN, cache=cache)
+    center, target = params.center, params.variance
     observed = np.var(np.sqrt(n) * (vals - center), ddof=1)
     se_mean = vals.std(ddof=1) / math.sqrt(n_reps)
     return [
@@ -395,11 +402,13 @@ def conditional_variance_precision(
     for i in range(n_reps):
         vals[i] = sample_precision_product(
             model, l, n, RngStream(seed, 15 * _BLOCK + i), fixed_nu=nu_fix, cache=cache
-        ).value
-    a, _, _ = cache.precision_forms(cache.mu_nu_eig(nu_fix))
-    center_asym = a / (1.0 - c)
-    center_exact = (n - 1) / (n - p - 2) * a
-    target = sigma2_tilde_nu(model, l, c, nu_fix, cache=cache)
+        )[0]
+    params = asymptotic_params(
+        model, l, c, nu_fix, ProductKind.PRECISION_TIMES_MEAN, cache=cache
+    )
+    center_asym, target = params.center, params.variance
+    # l'Sigma^{-1}mu_nu recovered from the asymptotic centre a / (1 - c).
+    center_exact = (n - 1) / (n - p - 2) * center_asym * (1.0 - c)
     observed = np.var(np.sqrt(n) * (vals - center_asym), ddof=1)
     se_mean = vals.std(ddof=1) / math.sqrt(n_reps)
     return [
@@ -462,10 +471,11 @@ def _variance_regularity_checks(seed: int) -> list[CheckResult]:
     results.append(
         _check("sigma2 continuity at c=0 (rel)", abs(s_small - s0) / s0, 1e-9)
     )
-    cache = precompute_quadratics(model, l)
-    m_eig = cache.mu_nu_eig(nu_val)
-    center, quad = cache.cov_forms(m_eig)
-    classical = quad * cache.l_sigma_l + center**2 + cache.l_sigma3_l
+    # Classical fixed-p form, assembled from dense matrices.
+    sigma, m_v = model.sigma, model.mu + model.b @ nu_val
+    classical = (m_v @ sigma @ m_v) * (l @ sigma @ l) + (l @ sigma @ m_v) ** 2 + (
+        l @ sigma @ sigma @ sigma @ l
+    )
     results.append(
         _check("sigma2 at c=0 equals classical form (rel)", abs(s0 - classical) / s0, 1e-12)
     )
@@ -492,7 +502,7 @@ def suite_variance(seed: int = 0) -> list[CheckResult]:
     )
 
 
-def _determinant_identity_check(p: int, n: int, q: int, seed: int) -> CheckResult:
+def determinant_identity_check(p: int, n: int, q: int, seed: int) -> CheckResult:
     """log|F| from the identity versus a dense assembly of F."""
     model, _ = _dense_test_model(p, q, seed, "tn")
     ws = build_workspace(model, n)
@@ -507,14 +517,9 @@ def _determinant_identity_check(p: int, n: int, q: int, seed: int) -> CheckResul
     )
 
 
-def _normalization_check(seed: int) -> CheckResult:
+def normalization_check(seed: int) -> CheckResult:
     """The (1, 2, 1) matrix density integrates to one over a wide grid."""
-    model = ModelSpec(
-        mu=np.array([0.3]),
-        sigma=np.array([[0.8]]),
-        b=np.array([[0.7]]),
-        nu=TruncatedNormalAbs(np.array([[1.5]])),
-    )
+    model = _TINY_MODEL
     ws = build_workspace(model, 2)
     shift_scale = 0.7 * math.sqrt(1.5)
     lo = 0.3 - 10.0 * math.sqrt(0.8)
@@ -532,14 +537,9 @@ def _normalization_check(seed: int) -> CheckResult:
     return _check("density normalization at (1,2,1)", abs(integral - 1.0), 1e-3)
 
 
-def _mixture_agreement_check(seed: int) -> CheckResult:
+def mixture_agreement_check(seed: int) -> CheckResult:
     """Closed-form density versus direct mixing-integral quadrature."""
-    model = ModelSpec(
-        mu=np.array([0.3]),
-        sigma=np.array([[0.8]]),
-        b=np.array([[0.7]]),
-        nu=TruncatedNormalAbs(np.array([[1.5]])),
-    )
+    model = _TINY_MODEL
     ws = build_workspace(model, 2)
     worst = 0.0
     for z1 in np.linspace(-2.0, 4.0, 7):
@@ -580,7 +580,7 @@ def _orthant_checks(seed: int) -> list[CheckResult]:
     return results
 
 
-def _collapse_check(seed: int) -> CheckResult:
+def collapse_check(seed: int) -> CheckResult:
     """Zero loading reduces the density to the matrix normal."""
     gen = RngStream(seed, 18 * _BLOCK).generator
     p, n, q = 2, 3, 2
@@ -608,12 +608,7 @@ def _collapse_check(seed: int) -> CheckResult:
 
 def _kde_density_consistency(seed: int, n_draws: int = 100_000) -> CheckResult:
     """2-D KDE of oracle draws against the closed-form density at (1,2,1)."""
-    model = ModelSpec(
-        mu=np.array([0.3]),
-        sigma=np.array([[0.8]]),
-        b=np.array([[0.7]]),
-        nu=TruncatedNormalAbs(np.array([[1.5]])),
-    )
+    model = _TINY_MODEL
     ws = build_workspace(model, 2)
     draws = np.empty((n_draws, 2))
     for i in range(n_draws):
@@ -643,12 +638,12 @@ def _kde_density_consistency(seed: int, n_draws: int = 100_000) -> CheckResult:
 
 def suite_density(seed: int = 0) -> list[CheckResult]:
     return [
-        _determinant_identity_check(2, 3, 2, seed + 71),
-        _determinant_identity_check(3, 2, 1, seed + 72),
-        _normalization_check(seed),
-        _mixture_agreement_check(seed),
+        determinant_identity_check(2, 3, 2, seed + 71),
+        determinant_identity_check(3, 2, 1, seed + 72),
+        normalization_check(seed),
+        mixture_agreement_check(seed),
         *_orthant_checks(seed),
-        _collapse_check(seed),
+        collapse_check(seed),
         _kde_density_consistency(seed),
     ]
 

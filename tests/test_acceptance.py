@@ -15,11 +15,11 @@ from locmix.cli import main as cli_main
 from locmix.figures import FIGURE_TABLE, figure_config
 from locmix.kde import ks_statistic
 from locmix.verify import (
-    _determinant_identity_check,
-    _mixture_agreement_check,
-    _normalization_check,
     conditional_variance_cov,
     conditional_variance_precision,
+    determinant_identity_check,
+    mixture_agreement_check,
+    normalization_check,
     representation_vs_oracle,
     singular_regime_vs_oracle,
     variance_form_identity,
@@ -53,7 +53,7 @@ def panel_sample(figure, panel):
     cfg = figure_config(
         figure, panel, n_reps=N_REPS, master_seed=MASTER_SEED, model_seed=MODEL_SEED
     )
-    return run_experiment(cfg).standardized
+    return run_experiment(cfg)
 
 
 def test_criterion_01_representation_vs_oracle():
@@ -125,10 +125,10 @@ def test_criterion_07_independence_and_wishart_mean():
 
 def test_criterion_08_density_correctness():
     results = [
-        _determinant_identity_check(2, 3, 2, SEED + 71),
-        _determinant_identity_check(3, 2, 1, SEED + 72),
-        _normalization_check(SEED),
-        _mixture_agreement_check(SEED),
+        determinant_identity_check(2, 3, 2, SEED + 71),
+        determinant_identity_check(3, 2, 1, SEED + 72),
+        normalization_check(SEED),
+        mixture_agreement_check(SEED),
     ]
     ok, detail = summarize_checks(results)
     report(8, ok, f"density identities/normalization/mixture: {detail}")

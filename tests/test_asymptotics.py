@@ -4,7 +4,6 @@ import pytest
 from locmix import (
     Degenerate,
     ModelSpec,
-    ProductDraw,
     ProductKind,
     RngStream,
     asymptotic_params,
@@ -46,20 +45,6 @@ def test_sigma2_hand_value():
     )
     val = sigma2_nu(model, np.array([1.0, 0.0]), 0.1, np.zeros(1))
     assert val == pytest.approx(3.85)
-
-
-def test_sigma2_frobenius_variant():
-    model = ModelSpec(
-        mu=np.array([1.0, 0.0]),
-        sigma=np.diag([1.0, 4.0]),
-        b=np.zeros((2, 1)),
-        nu=Degenerate(np.zeros(1)),
-    )
-    l = np.array([1.0, 0.0])
-    # The unnormalized spelling replaces tr(Sigma^2)/p by tr(Sigma^2).
-    assert sigma2_nu(model, l, 0.1, np.zeros(1), frobenius_variant=True) == pytest.approx(
-        (1.0 + 0.1 * 17.0) * 1.0 + 1.0 + 1.0
-    )
 
 
 def test_sigma2_rejects_negative_c():
@@ -125,14 +110,13 @@ def test_corollary_substitution_identities():
         )
     # Half-normal mean plugged in matches direct evaluation.
     omega = np.sqrt(2 / np.pi) * np.ones(2)
-    params = corollary_params(model, l, 0.3, omega, gamma=0.01)
+    params = corollary_params(model, l, 0.3, omega)
     assert params.sigma2 == pytest.approx(
         sigma2_nu(model, l, 0.3, omega), rel=1e-12
     )
     assert params.sigma2_tilde == pytest.approx(
         sigma2_tilde_nu(model, l, 0.3, omega), rel=1e-12
     )
-    assert params.gamma == 0.01
 
 
 def test_standardize_centering_and_scaling():
@@ -140,25 +124,34 @@ def test_standardize_centering_and_scaling():
     nu_val = sample_nu(model.nu, RngStream(31, 0))
     n, c = 50, 0.1
     params = asymptotic_params(model, l, c, nu_val, ProductKind.COV_TIMES_MEAN)
-    draws = [
-        ProductDraw(value=params.center, nu_used=nu_val),
-        ProductDraw(
-            value=params.center + 2.0 * np.sqrt(params.variance) / np.sqrt(n),
-            nu_used=nu_val,
-        ),
-    ]
-    out = standardize(draws, model, l, c, n, ProductKind.COV_TIMES_MEAN)
-    assert out.standardized[0] == pytest.approx(0.0, abs=1e-12)
-    assert out.standardized[1] == pytest.approx(2.0, rel=1e-12)
+    values = [params.center, params.center + 2.0 * np.sqrt(params.variance) / np.sqrt(n)]
+    out = standardize(values, [nu_val, nu_val], model, l, c, n, ProductKind.COV_TIMES_MEAN)
+    assert out[0] == pytest.approx(0.0, abs=1e-12)
+    assert out[1] == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(ProductKind))
+def test_standardize_batch_matches_params_row_by_row(kind):
+    model, l = make_dense_model(6, 3, seed=36)
+    gen = np.random.default_rng(36)
+    nus = np.abs(gen.standard_normal((50, 3)))
+    values = gen.uniform(-2.0, 2.0, 50)
+    n, c = 40, 0.15
+    out = standardize(values, nus, model, l, c, n, kind)
+    for value, nu_val, z in zip(values, nus, out):
+        params = asymptotic_params(model, l, c, nu_val, kind)
+        expected = np.sqrt(n) * (value - params.center) / np.sqrt(params.variance)
+        assert abs(z - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_standardize_rejects_empty_and_zero_l():
     model, l = make_dense_model(3, 2, seed=34)
     with pytest.raises(InvalidInputError):
-        standardize([], model, l, 0.1, 10, ProductKind.COV_TIMES_MEAN)
-    draw = ProductDraw(value=1.0, nu_used=np.zeros(2))
+        standardize([], np.empty((0, 2)), model, l, 0.1, 10, ProductKind.COV_TIMES_MEAN)
     with pytest.raises(ZeroVectorError):
-        standardize([draw], model, np.zeros(3), 0.1, 10, ProductKind.COV_TIMES_MEAN)
+        standardize(
+            [1.0], np.zeros((1, 2)), model, np.zeros(3), 0.1, 10, ProductKind.COV_TIMES_MEAN
+        )
 
 
 def test_standardized_sample_is_close_to_normal():
@@ -169,12 +162,11 @@ def test_standardized_sample_is_close_to_normal():
     model = generate_paper_model(p, q, model_seed=0, nu=default_nu("tn", q))
     l = np.ones(p)
     cache = precompute_quadratics(model, l)
-    draws = [
-        sample_cov_product(model, l, n, RngStream(32, i), cache=cache)
-        for i in range(count)
-    ]
-    out = standardize(draws, model, l, p / n, n, ProductKind.COV_TIMES_MEAN, cache=cache)
-    assert ks_statistic(out.standardized) <= 0.02
+    values, nus = zip(
+        *(sample_cov_product(model, l, n, RngStream(32, i), cache=cache) for i in range(count))
+    )
+    out = standardize(values, nus, model, l, p / n, n, ProductKind.COV_TIMES_MEAN, cache=cache)
+    assert ks_statistic(out) <= 0.02
 
 
 def test_conditional_variance_reduced():
@@ -188,13 +180,11 @@ def test_conditional_variance_reduced():
     nu_fix = sample_nu(model.nu, RngStream(33, 0))
     vals = np.array(
         [
-            sample_cov_product(
-                model, l, n, RngStream(34, i), fixed_nu=nu_fix, cache=cache
-            ).value
+            sample_cov_product(model, l, n, RngStream(34, i), fixed_nu=nu_fix, cache=cache)[0]
             for i in range(count)
         ]
     )
-    center = cache.cov_forms(cache.mu_nu_eig(nu_fix))[0]
-    target = sigma2_nu(model, l, p / n, nu_fix, cache=cache)
+    params = asymptotic_params(model, l, p / n, nu_fix, ProductKind.COV_TIMES_MEAN, cache=cache)
+    center, target = params.center, params.variance
     observed = np.var(np.sqrt(n) * (vals - center), ddof=1)
     assert abs(observed - target) / target < 0.10

@@ -300,3 +300,41 @@ def test_manifest_missing_field_exit_2(tmp_path):
         "simulate", "--manifest", str(manifest), "--out", str(tmp_path / "x")
     )
     assert code == 2
+
+
+TINY_MODEL = {
+    "mu": [0.3],
+    "sigma": {"diag": [0.8]},
+    "b": [[0.7]],
+    "nu": {"kind": "truncated_normal_abs", "omega": {"diag": [1.5]}},
+}
+
+
+def write_density_inputs(tmp_path, model_text, data_text):
+    (tmp_path / "model.json").write_text(model_text)
+    (tmp_path / "data.csv").write_text(data_text)
+    return "density", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv")
+
+
+def test_density_nan_data_exit_2(tmp_path):
+    args = write_density_inputs(tmp_path, json.dumps(TINY_MODEL), "0.5,nan\n")
+    assert run_cli(*args) == 2
+
+
+def test_density_infinite_model_exit_2(tmp_path):
+    text = json.dumps(dict(TINY_MODEL, mu=[float("inf")]))
+    assert "Infinity" in text
+    args = write_density_inputs(tmp_path, text, "0.5,1.25\n")
+    assert run_cli(*args) == 2
+
+
+def test_density_accuracy_not_met_exit_5(tmp_path, monkeypatch):
+    import locmix.density as density
+    from locmix.errors import AccuracyNotMetError
+
+    def give_up(*args, **kwargs):
+        raise AccuracyNotMetError("forced", 1.0)
+
+    monkeypatch.setattr(density, "mvn_orthant_cdf", give_up)
+    args = write_density_inputs(tmp_path, json.dumps(TINY_MODEL), "0.5,1.25\n")
+    assert run_cli(*args) == 5

@@ -18,10 +18,10 @@ from locmix.errors import (
     UnsupportedMixingError,
 )
 from locmix.verify import (
-    _collapse_check,
-    _determinant_identity_check,
-    _mixture_agreement_check,
-    _normalization_check,
+    collapse_check,
+    determinant_identity_check,
+    mixture_agreement_check,
+    normalization_check,
 )
 
 from conftest import make_dense_model
@@ -62,21 +62,21 @@ def test_workspace_rejects_other_mixing():
 
 
 def test_determinant_identity_dense_oracle():
-    assert _determinant_identity_check(2, 3, 2, seed=71).passed
-    assert _determinant_identity_check(3, 2, 1, seed=72).passed
+    assert determinant_identity_check(2, 3, 2, seed=71).passed
+    assert determinant_identity_check(3, 2, 1, seed=72).passed
 
 
 def test_collapse_to_matrix_normal():
-    assert _collapse_check(seed=5).passed
+    assert collapse_check(seed=5).passed
 
 
 def test_density_normalization():
-    result = _normalization_check(seed=0)
+    result = normalization_check(seed=0)
     assert result.passed, result
 
 
 def test_density_matches_mixture_quadrature():
-    result = _mixture_agreement_check(seed=0)
+    result = mixture_agreement_check(seed=0)
     assert result.passed, result
 
 

@@ -15,7 +15,7 @@ from locmix import (
     sample_nu,
     sample_std_normal_vec,
 )
-from locmix.errors import InvalidDimensionError, NotPositiveDefiniteError
+from locmix.errors import InvalidDimensionError, InvalidInputError, NotPositiveDefiniteError
 
 
 def test_std_normal_vec_shape_and_finiteness():
@@ -159,3 +159,17 @@ def test_nu_moments_against_monte_carlo():
     deg = Degenerate(np.array([2.0]))
     np.testing.assert_array_equal(nu_mean(deg), [2.0])
     np.testing.assert_array_equal(nu_cov(deg), [[0.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mixing_laws_reject_non_finite(bad):
+    with pytest.raises(InvalidInputError):
+        TruncatedNormalAbs(np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(InvalidInputError):
+        GeneralizedAsymmetricLaplace(np.array([1.0, bad]), np.eye(2), 10.0)
+    with pytest.raises(InvalidInputError):
+        GeneralizedAsymmetricLaplace(np.ones(2), np.array([[bad, 0.0], [0.0, 1.0]]), 10.0)
+    with pytest.raises(InvalidInputError):
+        GeneralizedAsymmetricLaplace(np.ones(2), np.eye(2), bad)
+    with pytest.raises(InvalidInputError):
+        Degenerate(np.array([0.0, bad]))

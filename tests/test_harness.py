@@ -73,14 +73,14 @@ def test_run_experiment_deterministic():
     cfg = small_config()
     a = run_experiment(cfg)
     b = run_experiment(cfg)
-    np.testing.assert_array_equal(a.standardized, b.standardized)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_run_experiment_thread_invariance():
     cfg = small_config(n_reps=500)
     serial = run_experiment(cfg, threads=1)
     parallel = run_experiment(cfg, threads=3)
-    np.testing.assert_array_equal(serial.standardized, parallel.standardized)
+    np.testing.assert_array_equal(serial, parallel)
 
 
 def test_seed_separation():
@@ -88,7 +88,7 @@ def test_seed_separation():
     cfg_b = small_config(master_seed=2)
     a = run_experiment(cfg_a)
     b = run_experiment(cfg_b)
-    assert not np.array_equal(a.standardized, b.standardized)
+    assert not np.array_equal(a, b)
     # The model is controlled by model_seed alone.
     model_a = generate_paper_model(cfg_a.p, cfg_a.q, cfg_a.model_seed)
     model_b = generate_paper_model(cfg_b.p, cfg_b.q, cfg_b.model_seed)
@@ -98,21 +98,21 @@ def test_seed_separation():
 def test_standardized_mean_small():
     cfg = figure_config(1, "a", n_reps=10_000, master_seed=3, model_seed=0)
     sample = run_experiment(cfg)
-    assert abs(sample.standardized.mean()) < 0.05
-    assert ks_statistic(sample.standardized) < 0.03
+    assert abs(sample.mean()) < 0.05
+    assert ks_statistic(sample) < 0.03
 
 
 def test_precision_experiment_runs():
     cfg = small_config(product=ProductKind.PRECISION_TIMES_MEAN, n_reps=2000)
     sample = run_experiment(cfg)
-    assert np.all(np.isfinite(sample.standardized))
-    assert sample.kind is ProductKind.PRECISION_TIMES_MEAN
+    assert sample.shape == (2000,)
+    assert np.all(np.isfinite(sample))
 
 
 def test_summarize_experiment_uses_config_grid():
     cfg = small_config(kde_grid=(-3.0, 3.0, 61), bandwidth_grid=(0.2, 0.3, 0.5))
     sample = run_experiment(cfg)
-    report = summarize_experiment(sample)
+    report = summarize_experiment(sample, cfg)
     assert report.kde_x.shape == (61,)
     assert report.kde_x[0] == -3.0
     assert report.bandwidth in (0.2, 0.3, 0.5)

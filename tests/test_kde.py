@@ -97,6 +97,37 @@ def test_lscv_near_rule_of_thumb():
     assert rot / 2 <= h <= rot * 2
 
 
+def _direct_lscv(samples, h):
+    """LSCV from pairwise gaps summed one sorted offset at a time."""
+    s = np.sort(samples)
+    n = s.size
+    t_k = t_conv = 0.0
+    for k in range(1, n):
+        d = (s[k:] - s[:-k]) / h
+        d = d[d <= 2.0]
+        if d.size == 0:
+            break
+        t_conv += float(np.sum(32.0 - 40.0 * d**2 + 20.0 * d**3 - d**5))
+        d = d[d <= 1.0]
+        t_k += float(np.sum(1.0 - d**2))
+    int_f2 = 3.0 / 160.0 * (32.0 * n + 2.0 * t_conv) / (n * n * h)
+    return int_f2 - 4.0 * 0.75 * t_k / ((n - 1) * h * n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lscv_default_grid_interior_and_accurate(seed):
+    samples = np.random.default_rng(seed).standard_normal(100_000)
+    grid = default_bandwidth_grid(samples)
+    h = lscv_bandwidth(samples, grid)
+    assert grid[0] < h < grid[-1]
+    # The smallest candidates are where the prefix-sum expansions cancel most.
+    base = grid[0] / 0.25
+    for small in (grid[0], 0.05 * base):
+        score = lscv_scores(samples, [small])[0]
+        direct = _direct_lscv(samples, small)
+        assert abs(score - direct) <= 1e-6 * abs(direct)
+
+
 def test_lscv_validates_inputs():
     with pytest.raises(InvalidInputError):
         lscv_bandwidth(np.array([1.0, 2.0]), np.array([]))

@@ -188,3 +188,13 @@ def test_wishart_mean_small():
     acc /= reps
     rel = np.linalg.norm(acc - model.sigma) / np.linalg.norm(model.sigma)
     assert rel < 0.03
+
+
+@pytest.mark.parametrize("field", ["mu", "sigma", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite(field, bad):
+    parts = {"mu": np.zeros(2), "sigma": np.eye(2), "b": np.ones((2, 1))}
+    parts[field] = parts[field].copy()
+    parts[field].flat[0] = bad
+    with pytest.raises(InvalidInputError):
+        ModelSpec(**parts, nu=Degenerate(np.zeros(1)))

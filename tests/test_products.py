@@ -68,7 +68,7 @@ def test_delta_sq_matches_dense_projection():
 def test_cov_product_zero_l_short_circuits():
     model, _ = make_dense_model(4, 2, seed=22)
     draws = [
-        sample_cov_product(model, np.zeros(4), 10, RngStream(6, i)).value
+        sample_cov_product(model, np.zeros(4), 10, RngStream(6, i))[0]
         for i in range(20)
     ]
     assert draws == [0.0] * 20
@@ -85,44 +85,44 @@ def test_cov_product_p1_has_no_noise_term():
     )
     l = np.array([1.7])
     n = 9
-    draw = sample_cov_product(model, l, n, RngStream(7, 1))
+    value, _ = sample_cov_product(model, l, n, RngStream(7, 1))
     gen = RngStream(7, 1).generator
     z = gen.standard_normal(1)
     xbar = 0.4 + 0.3 * 2.0 + np.sqrt(2.5) * z[0] / np.sqrt(n)
     xi = gen.chisquare(n - 1)
     gen.standard_normal()  # z0 is consumed but must not contribute
     expected = xi / (n - 1) * (1.7 * 2.5 * xbar)
-    assert draw.value == pytest.approx(expected, rel=1e-14)
+    assert value == pytest.approx(expected, rel=1e-14)
 
 
 def test_linearity_exact_ratio():
     model, l = make_dense_model(6, 2, seed=23)
     n = 20
     for i in range(50):
-        a = sample_cov_product(model, l, n, RngStream(8, i)).value
-        b = sample_cov_product(model, 2.0 * l, n, RngStream(8, i)).value
+        a = sample_cov_product(model, l, n, RngStream(8, i))[0]
+        b = sample_cov_product(model, 2.0 * l, n, RngStream(8, i))[0]
         assert b == 2.0 * a
     for i in range(50):
-        a = sample_precision_product(model, l, n, RngStream(9, i)).value
-        b = sample_precision_product(model, 2.0 * l, n, RngStream(9, i)).value
+        a = sample_precision_product(model, l, n, RngStream(9, i))[0]
+        b = sample_precision_product(model, 2.0 * l, n, RngStream(9, i))[0]
         assert b == 2.0 * a
 
 
 def test_fixed_nu_is_honored():
     model, l = make_dense_model(4, 2, seed=24)
     nu_val = np.array([0.5, 1.5])
-    draw = sample_cov_product(model, l, 15, RngStream(10, 0), fixed_nu=nu_val)
-    np.testing.assert_array_equal(draw.nu_used, nu_val)
-    repeat = sample_cov_product(model, l, 15, RngStream(10, 0), fixed_nu=nu_val)
-    assert draw.value == repeat.value
+    value, nu_used = sample_cov_product(model, l, 15, RngStream(10, 0), fixed_nu=nu_val)
+    np.testing.assert_array_equal(nu_used, nu_val)
+    repeat, _ = sample_cov_product(model, l, 15, RngStream(10, 0), fixed_nu=nu_val)
+    assert value == repeat
 
 
 def test_cache_matches_direct_path():
     model, l = make_dense_model(5, 2, seed=25)
     cache = precompute_quadratics(model, l)
     for i in range(10):
-        direct = sample_cov_product(model, l, 12, RngStream(11, i)).value
-        cached = sample_cov_product(model, l, 12, RngStream(11, i), cache=cache).value
+        direct = sample_cov_product(model, l, 12, RngStream(11, i))[0]
+        cached = sample_cov_product(model, l, 12, RngStream(11, i), cache=cache)[0]
         assert direct == cached
 
 
@@ -143,13 +143,13 @@ def test_precision_p1_degenerate_branch():
     )
     l = np.array([1.7])
     n = 12
-    draw = sample_precision_product(model, l, n, RngStream(13, 0))
+    value, _ = sample_precision_product(model, l, n, RngStream(13, 0))
     gen = RngStream(13, 0).generator
     xi = gen.chisquare(n - 1)
     z0 = gen.standard_normal()
     a = 1.7 * (0.4 + 0.6) / 2.5
     expected = (n - 1) / xi * (a + np.sqrt(1.7**2 / 2.5) * z0 / np.sqrt(n))
-    assert draw.value == pytest.approx(expected, rel=1e-14)
+    assert value == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("family", ["tn", "gal"])
@@ -159,7 +159,7 @@ def test_cov_product_matches_oracle(family):
     cache = precompute_quadratics(model, l)
     rep = np.array(
         [
-            sample_cov_product(model, l, n, RngStream(14, i), cache=cache).value
+            sample_cov_product(model, l, n, RngStream(14, i), cache=cache)[0]
             for i in range(count)
         ]
     )
@@ -174,7 +174,7 @@ def test_precision_product_matches_oracle(family):
     cache = precompute_quadratics(model, l)
     rep = np.array(
         [
-            sample_precision_product(model, l, n, RngStream(16, i), cache=cache).value
+            sample_precision_product(model, l, n, RngStream(16, i), cache=cache)[0]
             for i in range(count)
         ]
     )
@@ -188,7 +188,7 @@ def test_cov_product_singular_regime_matches_oracle():
     cache = precompute_quadratics(model, l)
     rep = np.array(
         [
-            sample_cov_product(model, l, n, RngStream(18, i), cache=cache).value
+            sample_cov_product(model, l, n, RngStream(18, i), cache=cache)[0]
             for i in range(count)
         ]
     )
