@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .distributions import finite_array
@@ -40,10 +43,19 @@ from .errors import (
     ZeroVectorError,
 )
 from .figures import figure_config
-from .harness import ExperimentConfig, default_nu, run_experiment, summarize_experiment
+from .harness import (
+    BLOCK_SIZE,
+    ExperimentConfig,
+    default_nu,
+    run_experiment,
+    summarize_experiment,
+)
 from .kde import GofReport
 from .modelfile import load_model, nu_to_json, parse_nu
 from .products import ProductKind
+from .rng import BIT_GENERATOR
+
+logger = logging.getLogger(__name__)
 
 
 def _fmt(x: float) -> str:
@@ -66,10 +78,27 @@ def _config_to_json(cfg: ExperimentConfig, normal_column: bool) -> dict:
         if cfg.bandwidth_grid is None
         else list(cfg.bandwidth_grid),
         "kde_normal_column": normal_column,
+        "block_size": BLOCK_SIZE,
+    }
+
+
+def _environment() -> dict:
+    """Versions and bit generator that determine the bytes of a run."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "bit_generator": BIT_GENERATOR,
     }
 
 
 def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
+    if doc.get("block_size") != BLOCK_SIZE:
+        raise InvalidInputError(
+            f"manifest block_size {doc.get('block_size')!r} does not match this "
+            f"version's stream contract (block b of {BLOCK_SIZE} replicates uses "
+            "stream (master_seed, b)); its draws cannot be replayed"
+        )
     try:
         cfg = ExperimentConfig(
             p=int(doc["p"]),
@@ -137,6 +166,7 @@ def _write_outputs(
             "report": "report.json",
         },
         "code_version": __version__,
+        "environment": _environment(),
         "duration_seconds": duration,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -157,6 +187,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.manifest is not None:
         doc = json.loads(Path(args.manifest).read_text())
         cfg, normal_column = _config_from_json(doc["config"])
+        written_with = doc.get("environment", {}).get("numpy")
+        if written_with != np.__version__:
+            logger.warning(
+                "manifest was written with numpy %s but this is numpy %s; numpy "
+                "does not promise identical random streams across versions, so "
+                "the replay may not be byte-identical",
+                written_with,
+                np.__version__,
+            )
     else:
         for name in ("p", "n", "seed"):
             if getattr(args, name) is None:

@@ -264,6 +264,12 @@ def log_density(
     The quadratic form of the implicit large covariance is evaluated as
     per-column precision forms minus the q-dimensional Woodbury
     correction; no np x np matrix appears.
+
+    Raises
+    ------
+    AccuracyNotMetError
+        If the orthant probability misses its accuracy target or
+        underflows to 0 (data far in the tail).
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (model.p, workspace.n):
@@ -288,7 +294,14 @@ def log_density(
         prob = mvn_orthant_cdf(
             -workspace.d_matrix @ g, workspace.d_matrix, orthant_accuracy, rng=rng
         )
-        log_orthant = float(np.log(prob)) if prob > 0.0 else -np.inf
+        if prob == 0.0:
+            # The data are finite, so the true probability is positive.
+            raise AccuracyNotMetError(
+                "orthant probability underflows to 0 for these data (far tail); "
+                "its log cannot be evaluated",
+                1.0,
+            )
+        log_orthant = float(np.log(prob))
     return log_orthant + log_phi - workspace.log_c
 
 

@@ -135,72 +135,89 @@ def sample_std_normal_vec(dim: int, rng: RngStream) -> NDArray:
     return rng.generator.standard_normal(dim)
 
 
-def sample_chi_squared(k: int, rng: RngStream) -> float:
-    """Draw once from the chi-squared law with ``k >= 1`` degrees of freedom."""
+def sample_chi_squared(k: int, rng: RngStream, size: int | None = None) -> float | NDArray:
+    """Draw from the chi-squared law with ``k >= 1`` degrees of freedom.
+
+    ``size=None`` draws one float; an integer draws a ``(size,)`` block.
+    """
     if k < 1:
         raise InvalidDimensionError("degrees of freedom must be >= 1")
-    return float(rng.generator.chisquare(k))
+    draws = rng.generator.chisquare(k, size)
+    return float(draws) if size is None else draws
 
 
-def sample_noncentral_chi_squared(k: int, lam: float, rng: RngStream) -> float:
-    """Draw once from the noncentral chi-squared law ``chi2_k(lam)``.
+def sample_noncentral_chi_squared(
+    k: int, lam: float | NDArray, rng: RngStream, size: int | None = None
+) -> float | NDArray:
+    """Draw from the noncentral chi-squared law ``chi2_k(lam)``.
 
     Uses the exact Poisson mixture ``J ~ Poisson(lam/2)`` followed by a
     central ``chi2_{k+2J}`` draw, which also covers ``k = 0`` with
-    ``lam > 0``.  The fully degenerate case ``k = 0, lam = 0`` returns 0.
+    ``lam > 0``; a draw with ``k + 2J = 0`` is 0.  A block draws its
+    Poisson variates first, then its chi-squared variates; a zero ``lam``
+    consumes no Poisson randomness.
 
     Parameters
     ----------
     k : int
         Nonnegative degrees of freedom.
-    lam : float
-        Nonnegative noncentrality parameter.
+    lam : float or (size,) ndarray
+        Nonnegative noncentrality, shared or one per draw.
+    size : int, optional
+        Number of draws; ``None`` draws one float.
     """
     if k < 0:
         raise InvalidDimensionError("degrees of freedom must be >= 0")
-    if lam < 0:
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (1 if size is None else size,))
+    if np.any(lam < 0):
         raise ValueError("noncentrality must be >= 0")
     gen = rng.generator
-    dof = k
-    if lam > 0:
-        dof = k + 2 * int(gen.poisson(lam / 2.0))
-    if dof == 0:
-        return 0.0
-    return float(gen.chisquare(dof))
+    dof = k + 2 * gen.poisson(lam / 2.0)
+    draws = np.zeros(dof.shape)
+    positive = dof > 0
+    draws[positive] = gen.chisquare(dof[positive])
+    return float(draws[0]) if size is None else draws
 
 
-def sample_noncentral_f(d1: int, d2: int, lam: float, rng: RngStream) -> float:
-    """Draw once from the noncentral F law ``F_{d1,d2}(lam)``.
+def sample_noncentral_f(
+    d1: int, d2: int, lam: float | NDArray, rng: RngStream, size: int | None = None
+) -> float | NDArray:
+    """Draw from the noncentral F law ``F_{d1,d2}(lam)``.
 
     Constructed as ``[chi2_{d1}(lam)/d1] / [chi2_{d2}/d2]`` with independent
-    numerator and denominator.
+    numerator and denominator; a block draws all numerators, then all
+    denominators.  ``lam`` is shared or one per draw.
     """
     if d1 < 1 or d2 < 1:
         raise InvalidDimensionError("both degrees of freedom must be >= 1")
-    num = sample_noncentral_chi_squared(d1, lam, rng) / d1
-    den = sample_chi_squared(d2, rng) / d2
+    num = sample_noncentral_chi_squared(d1, lam, rng, size) / d1
+    den = sample_chi_squared(d2, rng, size) / d2
     return num / den
 
 
-def sample_nu(dist: NuDistribution, rng: RngStream) -> NDArray:
-    """Draw one realization of the location-shift vector ``nu``.
+def sample_nu(dist: NuDistribution, rng: RngStream, size: int | None = None) -> NDArray:
+    """Draw the location-shift vector ``nu``: ``(q,)``, or a ``(size, q)`` block.
 
     Draw order is fixed per family (it is part of the reproducibility
-    contract): TruncatedNormalAbs consumes a q-vector of normals;
-    GeneralizedAsymmetricLaplace consumes one Gamma variate then a q-vector
-    of normals; Degenerate consumes nothing.
+    contract): TruncatedNormalAbs consumes a ``(size, q)`` block of
+    normals; GeneralizedAsymmetricLaplace consumes ``size`` Gamma variates
+    then a ``(size, q)`` block of normals; Degenerate consumes nothing.
+    ``size=None`` is a block of one.
     """
+    count = 1 if size is None else size
     gen = rng.generator
     if isinstance(dist, TruncatedNormalAbs):
-        z = gen.standard_normal(dist.q)
-        return np.abs(dist._chol @ z)
-    if isinstance(dist, GeneralizedAsymmetricLaplace):
-        w = gen.gamma(dist.s, 1.0)
-        z = gen.standard_normal(dist.q)
-        return dist.m * w + np.sqrt(w) * (dist._chol @ z)
-    if isinstance(dist, Degenerate):
-        return dist.value.copy()
-    raise TypeError(f"unknown mixing distribution: {type(dist).__name__}")
+        z = gen.standard_normal((count, dist.q))
+        nus = np.abs(z @ dist._chol.T)
+    elif isinstance(dist, GeneralizedAsymmetricLaplace):
+        w = gen.gamma(dist.s, 1.0, count)[:, None]
+        z = gen.standard_normal((count, dist.q))
+        nus = dist.m * w + np.sqrt(w) * (z @ dist._chol.T)
+    elif isinstance(dist, Degenerate):
+        nus = np.tile(dist.value, (count, 1))
+    else:
+        raise TypeError(f"unknown mixing distribution: {type(dist).__name__}")
+    return nus[0] if size is None else nus
 
 
 def nu_mean(dist: NuDistribution) -> NDArray:

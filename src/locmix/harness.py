@@ -4,8 +4,14 @@ One experiment draws N independent standardized realizations of a product
 statistic under a randomly generated model: each replicate draws its own
 location shift, generates the product through its exact stochastic
 representation, and is centred/scaled with that replicate's shift.
-Replicate ``i`` always consumes stream ``i`` of the experiment's master
-seed, so results are bit-identical for any degree of parallelism.
+
+Replicates are drawn in blocks of :data:`BLOCK_SIZE`: block ``b`` holds
+replicates ``[b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)`` (the last block may
+be shorter) and is drawn by one sampler call with ``size`` set to its
+length, from stream ``b`` of the experiment's master seed.  Workers take
+contiguous ranges of whole blocks, so results are bit-identical for any
+degree of parallelism.  Changing ``BLOCK_SIZE`` changes every draw; the
+manifest records it.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ from .rng import RngStream
 logger = logging.getLogger(__name__)
 
 _MIN_SIGMA_ENTRY = 1e-6
+
+# Replicates per stream: part of the reproducibility contract.
+BLOCK_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -114,8 +123,13 @@ def generate_paper_model(
     return ModelSpec(mu=mu, sigma=np.diag(diag), b=b, nu=nu)
 
 
-def _draw_range(cfg: ExperimentConfig, start: int, count: int) -> tuple[NDArray, NDArray]:
-    """Raw draws and their shifts for replicates [start, start+count), one stream each."""
+def _draw_range(cfg: ExperimentConfig, first_block: int, stop_block: int) -> NDArray:
+    """Standardized draws of blocks [first_block, stop_block).
+
+    Builds the model and its rotation once; block ``b`` is drawn from
+    ``RngStream(master_seed, b)`` and standardized as soon as it is drawn,
+    so no ``(n_reps, q)`` array of shifts is kept.
+    """
     model = generate_paper_model(cfg.p, cfg.q, cfg.model_seed, nu=cfg.nu)
     l = np.ones(cfg.p)
     cache = precompute_quadratics(model, l)
@@ -124,32 +138,33 @@ def _draw_range(cfg: ExperimentConfig, start: int, count: int) -> tuple[NDArray,
         if cfg.product is ProductKind.COV_TIMES_MEAN
         else sample_precision_product
     )
-    values = np.empty(count)
-    nus = np.empty((count, cfg.q))
-    for i in range(count):
-        rng = RngStream(cfg.master_seed, start + i)
-        values[i], nus[i] = sampler(model, l, cfg.n, rng, cache=cache)
-    return values, nus
+    offset = first_block * BLOCK_SIZE
+    out = np.empty(min(stop_block * BLOCK_SIZE, cfg.n_reps) - offset)
+    for block in range(first_block, stop_block):
+        start = block * BLOCK_SIZE - offset
+        count = min(BLOCK_SIZE, out.size - start)
+        rng = RngStream(cfg.master_seed, block)
+        values, nus = sampler(model, l, cfg.n, rng, cache=cache, size=count)
+        out[start : start + count] = standardize(
+            values, nus, model, l, cfg.c, cfg.n, cfg.product, cache=cache
+        )
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = 1) -> NDArray:
     """Produce the (n_reps,) standardized sample of one experiment.
 
-    ``threads`` only controls how replicate ranges are spread over worker
-    processes; the output is identical for every value.
+    ``threads`` only controls how contiguous block ranges are spread over
+    worker processes; the output is identical for every value.
     """
-    n_workers = threads if threads and threads > 1 else 1
-    if n_workers == 1:
-        values, nus = _draw_range(cfg, 0, cfg.n_reps)
-    else:
-        bounds = np.unique(np.linspace(0, cfg.n_reps, n_workers + 1).astype(int)).tolist()
-        starts, counts = bounds[:-1], np.diff(bounds).tolist()
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(_draw_range, [cfg] * len(starts), starts, counts))
-        values = np.concatenate([v for v, _ in parts])
-        nus = np.concatenate([m for _, m in parts])
-    model = generate_paper_model(cfg.p, cfg.q, cfg.model_seed, nu=cfg.nu)
-    return standardize(values, nus, model, np.ones(cfg.p), cfg.c, cfg.n, cfg.product)
+    n_blocks = -(-cfg.n_reps // BLOCK_SIZE)
+    n_workers = min(threads or 1, n_blocks)
+    if n_workers <= 1:
+        return _draw_range(cfg, 0, n_blocks)
+    bounds = np.linspace(0, n_blocks, n_workers + 1).astype(int).tolist()
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        parts = pool.map(_draw_range, [cfg] * n_workers, bounds[:-1], bounds[1:])
+        return np.concatenate(list(parts))
 
 
 def summarize_experiment(standardized: NDArray, cfg: ExperimentConfig) -> GofReport:

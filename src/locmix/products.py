@@ -15,8 +15,9 @@ the column covariance:
   with noncentrality ``n * delta^2(nu)``.  Requires p < n - 1 (p = 1 uses
   the degenerate branch with no F term).
 
-Per replicate the cost is O(p + q) after a one-time O(p^2) rotation, so
-Monte Carlo studies never touch a p x n matrix.
+Both samplers draw a block of replicates per call (``size``), so the
+cost is O(p + q) array work per replicate after a one-time O(p^2)
+rotation, and Monte Carlo studies never touch a p x n matrix.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ class ProductKind(enum.Enum):
 
     COV_TIMES_MEAN = "cov"
     PRECISION_TIMES_MEAN = "precision"
+
+
+def _weighted_squares(x: NDArray, weights: NDArray) -> NDArray:
+    """``sum_j weights_j x_j^2`` over the last axis, without an ``x**2`` temporary."""
+    return np.einsum("...j,...j,j->...", x, x, weights)
 
 
 class QuadraticCache:
@@ -76,11 +82,13 @@ class QuadraticCache:
 
     def mu_nu_eig(self, nu: NDArray) -> NDArray:
         """Shifted mean ``mu + B nu`` expressed in the eigenbasis."""
-        return self.mu_eig + nu @ self.b_eig_t
+        m_eig = nu @ self.b_eig_t
+        m_eig += self.mu_eig
+        return m_eig
 
     def cov_forms(self, m_eig: NDArray) -> tuple[NDArray, NDArray]:
         """(l'Sigma mu_nu, mu_nu'Sigma mu_nu) from the rotated shifted mean."""
-        return m_eig @ self._lam_l, m_eig**2 @ self.eigenvalues
+        return m_eig @ self._lam_l, _weighted_squares(m_eig, self.eigenvalues)
 
     def precision_forms(self, m_eig: NDArray) -> tuple[NDArray, NDArray, NDArray]:
         """(l'Sigma^{-1} mu_nu, mu_nu'Sigma^{-1} mu_nu, delta^2) from the rotated mean.
@@ -93,13 +101,22 @@ class QuadraticCache:
         if self.l_is_zero:
             raise ZeroVectorError("l must be nonzero for the precision product")
         a = m_eig @ self._l_over_lam
-        m = m_eig**2 @ self._inv_lam
+        m = _weighted_squares(m_eig, self._inv_lam)
         return a, m, np.maximum(m - a * a / self.l_sigmainv_l, 0.0)
 
 
 def precompute_quadratics(model: ModelSpec, l: NDArray) -> QuadraticCache:
     """Build the immutable scalar-form cache for a (model, l) pair."""
     return QuadraticCache(model, l)
+
+
+def _shift_block(
+    model: ModelSpec, rng: RngStream, fixed_nu: NDArray | None, count: int
+) -> NDArray:
+    """The ``(count, q)`` shifts of a block: drawn, or ``fixed_nu`` repeated."""
+    if fixed_nu is None:
+        return sample_nu(model.nu, rng, count)
+    return np.tile(np.asarray(fixed_nu, dtype=float).reshape(-1), (count, 1))
 
 
 def sample_cov_product(
@@ -109,12 +126,14 @@ def sample_cov_product(
     rng: RngStream,
     fixed_nu: NDArray | None = None,
     cache: QuadraticCache | None = None,
-) -> tuple[float, NDArray]:
-    """Draw one exact realization of ``l'S xbar``; returns ``(value, nu)``.
+    size: int | None = None,
+) -> tuple[float | NDArray, NDArray]:
+    """Draw exact realizations of ``l'S xbar``; returns ``(values, nus)``.
 
     Valid in both the invertible (p <= n-1) and singular (p > n-1)
     regimes.  ``l = 0`` is allowed and yields 0.  Draw order per stream:
-    nu (unless ``fixed_nu``), the p-vector behind xbar, xi, z0.
+    the block of shifts (unless ``fixed_nu``), the ``(size, p)`` normals
+    behind xbar, ``size`` xi, ``size`` z0.
 
     Parameters
     ----------
@@ -122,29 +141,29 @@ def sample_cov_product(
         Condition on this shift instead of drawing one.
     cache : QuadraticCache, optional
         Reuse a precomputed rotation (must match ``model`` and ``l``).
+    size : int, optional
+        Number of draws: ``(size,)`` values and ``(size, q)`` shifts.
+        ``None`` is a block of one returned as ``(float, (q,) shift)``.
     """
     if n < 2:
         raise InvalidDimensionError("n must be >= 2")
     cache = cache if cache is not None else QuadraticCache(model, l)
-    nu_value = (
-        np.asarray(fixed_nu, dtype=float).reshape(-1)
-        if fixed_nu is not None
-        else sample_nu(model.nu, rng)
-    )
+    count = 1 if size is None else size
+    nus = _shift_block(model, rng, fixed_nu, count)
     gen = rng.generator
-    m_eig = cache.mu_nu_eig(nu_value)
-    z = gen.standard_normal(cache.p)
-    xbar_eig = m_eig + np.sqrt(cache.eigenvalues) * z / np.sqrt(n)
+    xbar_eig = gen.standard_normal((count, cache.p))
+    xbar_eig *= np.sqrt(cache.eigenvalues / n)
+    xbar_eig += cache.mu_nu_eig(nus)
     g, quad = cache.cov_forms(xbar_eig)
-    xi = sample_chi_squared(n - 1, rng)
-    z0 = float(gen.standard_normal())
+    xi = sample_chi_squared(n - 1, rng, count)
+    z0 = gen.standard_normal(count)
     if cache.p == 1:
         # Cauchy-Schwarz is an equality in dimension one.
-        bracket = 0.0
+        bracket = np.zeros(count)
     else:
-        bracket = max(quad * cache.l_sigma_l - g * g, 0.0)
-    value = xi / (n - 1) * g + np.sqrt(xi) * np.sqrt(bracket) * z0 / (n - 1)
-    return float(value), nu_value
+        bracket = np.maximum(quad * cache.l_sigma_l - g * g, 0.0)
+    values = xi / (n - 1) * g + np.sqrt(xi) * np.sqrt(bracket) * z0 / (n - 1)
+    return (float(values[0]), nus[0]) if size is None else (values, nus)
 
 
 def sample_precision_product(
@@ -154,12 +173,15 @@ def sample_precision_product(
     rng: RngStream,
     fixed_nu: NDArray | None = None,
     cache: QuadraticCache | None = None,
-) -> tuple[float, NDArray]:
-    """Draw one exact realization of ``l'S^{-1} xbar``; returns ``(value, nu)``.
+    size: int | None = None,
+) -> tuple[float | NDArray, NDArray]:
+    """Draw exact realizations of ``l'S^{-1} xbar``; returns ``(values, nus)``.
 
     Requires ``p < n - 1`` (so that S is invertible with finite inverse
-    moments) and a nonzero ``l``.  Draw order per stream: nu (unless
-    ``fixed_nu``), xi_tilde, z0, then the noncentral-F block when p >= 2.
+    moments) and a nonzero ``l``.  Draw order per stream: the block of
+    shifts (unless ``fixed_nu``), ``size`` xi_tilde, ``size`` z0, then
+    for p >= 2 the noncentral-F blocks (Poisson, numerator, denominator).
+    ``size`` is as for :func:`sample_cov_product`.
     """
     if n < 2:
         raise InvalidDimensionError("n must be >= 2")
@@ -168,21 +190,15 @@ def sample_precision_product(
             f"precision product needs p < n - 1 (got p={model.p}, n={n})"
         )
     cache = cache if cache is not None else QuadraticCache(model, l)
-    nu_value = (
-        np.asarray(fixed_nu, dtype=float).reshape(-1)
-        if fixed_nu is not None
-        else sample_nu(model.nu, rng)
-    )
+    count = 1 if size is None else size
+    nus = _shift_block(model, rng, fixed_nu, count)
     p = cache.p
-    a, _, delta_sq = cache.precision_forms(cache.mu_nu_eig(nu_value))
-    xi_tilde = sample_chi_squared(n - p, rng)
-    z0 = float(rng.generator.standard_normal())
-    if p == 1:
-        noise_scale = np.sqrt(cache.l_sigmainv_l)
-    else:
-        eta = sample_noncentral_f(p - 1, n - p + 1, n * delta_sq, rng)
-        noise_scale = np.sqrt(cache.l_sigmainv_l) * np.sqrt(
-            1.0 + (p - 1) / (n - p + 1) * eta
-        )
-    value = (n - 1) / xi_tilde * (a + noise_scale * z0 / np.sqrt(n))
-    return float(value), nu_value
+    a, _, delta_sq = cache.precision_forms(cache.mu_nu_eig(nus))
+    xi_tilde = sample_chi_squared(n - p, rng, count)
+    z0 = rng.generator.standard_normal(count)
+    noise_scale = np.sqrt(cache.l_sigmainv_l)
+    if p > 1:
+        eta = sample_noncentral_f(p - 1, n - p + 1, n * delta_sq, rng, count)
+        noise_scale = noise_scale * np.sqrt(1.0 + (p - 1) / (n - p + 1) * eta)
+    values = (n - 1) / xi_tilde * (a + noise_scale * z0 / np.sqrt(n))
+    return (float(values[0]), nus[0]) if size is None else (values, nus)

@@ -33,7 +33,7 @@ from .distributions import (
     sample_nu,
     sample_std_normal_vec,
 )
-from .harness import default_nu, generate_paper_model
+from .harness import BLOCK_SIZE, default_nu, generate_paper_model
 from .model import ModelSpec, sample_data_matrix, sample_mean_and_cov
 from .products import (
     ProductKind,
@@ -43,8 +43,9 @@ from .products import (
 )
 from .rng import RngStream
 
-# Disjoint stream-index blocks keep every check on independent streams.
-_BLOCK = 1_000_000
+# Each check draws from its own range of _STRIDE stream indices, so checks
+# use independent streams.
+_STRIDE = 1_000_000
 
 # The (p, n, q) = (1, 2, 1) half-normal model of the density checks.
 _TINY_MODEL = ModelSpec(
@@ -98,6 +99,18 @@ def _dense_test_model(p: int, q: int, seed: int, family: str) -> tuple[ModelSpec
     return ModelSpec(mu=mu, sigma=sigma, b=b, nu=default_nu(family, q)), l
 
 
+def _block_draws(
+    n_draws: int, master_seed: int, first_stream: int, sampler, model, l, n, **kwargs
+) -> NDArray:
+    """``n_draws`` product values, block b of BLOCK_SIZE on stream ``first_stream + b``."""
+    out = np.empty(n_draws)
+    for b, start in enumerate(range(0, n_draws, BLOCK_SIZE)):
+        count = min(BLOCK_SIZE, n_draws - start)
+        rng = RngStream(master_seed, first_stream + b)
+        out[start : start + count] = sampler(model, l, n, rng, size=count, **kwargs)[0]
+    return out
+
+
 def _oracle_product_draws(
     model: ModelSpec, l: NDArray, n: int, master_seed: int, count: int, precision: bool
 ) -> NDArray:
@@ -132,10 +145,9 @@ def representation_vs_oracle(
                 ("precision", sample_precision_product),
             ):
                 block += 1
-                rep = np.empty(n_draws)
-                for i in range(n_draws):
-                    rng = RngStream(seed, block * _BLOCK + i)
-                    rep[i] = sampler(model, l, n, rng, cache=cache)[0]
+                rep = _block_draws(
+                    n_draws, seed, block * _STRIDE, sampler, model, l, n, cache=cache
+                )
                 block += 1
                 oracle = _oracle_product_draws(
                     model, l, n, seed + 7919, n_draws, product == "precision"
@@ -161,10 +173,9 @@ def singular_regime_vs_oracle(
     for k, family in enumerate(("tn", "gal")):
         model, l = _dense_test_model(p, q, seed + 31 + k, family)
         cache = precompute_quadratics(model, l)
-        rep = np.empty(n_draws)
-        for i in range(n_draws):
-            rng = RngStream(seed + 1, k * _BLOCK + i)
-            rep[i] = sample_cov_product(model, l, n, rng, cache=cache)[0]
+        rep = _block_draws(
+            n_draws, seed + 1, k * _STRIDE, sample_cov_product, model, l, n, cache=cache
+        )
         oracle = _oracle_product_draws(model, l, n, seed + 104729 + k, n_draws, False)
         ks = ks_2samp(rep, oracle).statistic
         results.append(
@@ -186,30 +197,23 @@ def _moment_checks(seed: int) -> list[CheckResult]:
     results = []
     n_big = 100_000
 
-    rng = RngStream(seed, 1 * _BLOCK)
-    draws = np.array([sample_std_normal_vec(1, rng)[0] for _ in range(n_big)])
+    draws = sample_std_normal_vec(n_big, RngStream(seed, 1 * _STRIDE))
     results.append(_check("std-normal mean (dim=1)", abs(draws.mean()), 0.02))
 
-    rng = RngStream(seed, 2 * _BLOCK)
-    draws = np.array([sample_chi_squared(100, rng) for _ in range(n_big)])
+    draws = sample_chi_squared(100, RngStream(seed, 2 * _STRIDE), n_big)
     results.append(_check("chi2(100) mean rel err", abs(draws.mean() - 100) / 100, 0.01))
     results.append(
         _check("chi2(100) variance rel err", abs(draws.var(ddof=1) - 200) / 200, 0.05)
     )
 
-    rng = RngStream(seed, 3 * _BLOCK)
-    draws = np.array(
-        [sample_noncentral_chi_squared(50, 25.0, rng) for _ in range(n_big)]
-    )
+    draws = sample_noncentral_chi_squared(50, 25.0, RngStream(seed, 3 * _STRIDE), n_big)
     results.append(
         _check("noncentral chi2(50, 25) mean rel err", abs(draws.mean() - 75) / 75, 0.01)
     )
 
     n_ks = 10_000
-    rng_a = RngStream(seed, 4 * _BLOCK)
-    rng_b = RngStream(seed, 5 * _BLOCK)
-    nc0 = np.array([sample_noncentral_chi_squared(7, 0.0, rng_a) for _ in range(n_ks)])
-    central = np.array([sample_chi_squared(7, rng_b) for _ in range(n_ks)])
+    nc0 = sample_noncentral_chi_squared(7, 0.0, RngStream(seed, 4 * _STRIDE), n_ks)
+    central = sample_chi_squared(7, RngStream(seed, 5 * _STRIDE), n_ks)
     results.append(
         _check(
             "noncentral chi2 lambda=0 reduction (two-sample KS)",
@@ -218,14 +222,12 @@ def _moment_checks(seed: int) -> list[CheckResult]:
         )
     )
 
-    rng = RngStream(seed, 6 * _BLOCK)
-    draws = np.array([sample_noncentral_f(10, 10, 0.0, rng) for _ in range(n_big)])
+    draws = sample_noncentral_f(10, 10, 0.0, RngStream(seed, 6 * _STRIDE), n_big)
     results.append(
         _check("F(10,10) mean rel err", abs(draws.mean() - 1.25) / 1.25, 0.03)
     )
-    rng = RngStream(seed, 7 * _BLOCK)
     target = 30 * (5 + 20) / (5 * 28)
-    draws = np.array([sample_noncentral_f(5, 30, 20.0, rng) for _ in range(n_big)])
+    draws = sample_noncentral_f(5, 30, 20.0, RngStream(seed, 7 * _STRIDE), n_big)
     results.append(
         _check(
             "noncentral F(5,30,20) mean rel err", abs(draws.mean() - target) / target, 0.03
@@ -233,9 +235,8 @@ def _moment_checks(seed: int) -> list[CheckResult]:
     )
 
     q = 4
-    rng = RngStream(seed, 8 * _BLOCK)
     tn = TruncatedNormalAbs(np.eye(q))
-    draws = np.array([sample_nu(tn, rng) for _ in range(n_big)])
+    draws = sample_nu(tn, RngStream(seed, 8 * _STRIDE), n_big)
     half_normal_mean = math.sqrt(2.0 / math.pi)
     results.append(
         _check(
@@ -246,9 +247,8 @@ def _moment_checks(seed: int) -> list[CheckResult]:
         )
     )
 
-    rng = RngStream(seed, 9 * _BLOCK)
     gal = GeneralizedAsymmetricLaplace(np.ones(q), np.eye(q), 10.0)
-    draws = np.array([sample_nu(gal, rng) for _ in range(n_big)])
+    draws = sample_nu(gal, RngStream(seed, 9 * _STRIDE), n_big)
     results.append(
         _check(
             "gamma-mixture componentwise mean rel err",
@@ -269,7 +269,7 @@ def wishart_and_independence_checks(seed: int, reps: int = 10_000) -> list[Check
     l_s_l = np.empty(reps)
     l_xbar = np.empty(reps)
     for i in range(reps):
-        x, _ = sample_data_matrix(model, n, RngStream(seed, 10 * _BLOCK + i))
+        x, _ = sample_data_matrix(model, n, RngStream(seed, 10 * _STRIDE + i))
         m = sample_mean_and_cov(x)
         s_mean += m.s_matrix
         tr_s[i] = np.trace(m.s_matrix)
@@ -306,7 +306,7 @@ def _sampling_moment_checks(seed: int) -> list[CheckResult]:
     model, _ = _dense_test_model(p, q, seed + 58, "tn")
     resid = np.empty((reps, p))
     for i in range(reps):
-        x, nu_val = sample_data_matrix(model, n, RngStream(seed, 11 * _BLOCK + i))
+        x, nu_val = sample_data_matrix(model, n, RngStream(seed, 11 * _STRIDE + i))
         resid[i] = x.mean(axis=1) - model.b @ nu_val
     target_cov = model.sigma / n
     se = np.sqrt(np.diag(target_cov) / reps)
@@ -327,9 +327,9 @@ def _sampling_moment_checks(seed: int) -> list[CheckResult]:
     tr_tn = np.empty(reps)
     tr_gal = np.empty(reps)
     for i in range(reps):
-        x, _ = sample_data_matrix(model_tn, n, RngStream(seed + 2, 12 * _BLOCK + i))
+        x, _ = sample_data_matrix(model_tn, n, RngStream(seed + 2, 12 * _STRIDE + i))
         tr_tn[i] = np.trace(sample_mean_and_cov(x).s_matrix)
-        x, _ = sample_data_matrix(model_gal, n, RngStream(seed + 3, 13 * _BLOCK + i))
+        x, _ = sample_data_matrix(model_gal, n, RngStream(seed + 3, 13 * _STRIDE + i))
         tr_gal[i] = np.trace(sample_mean_and_cov(x).s_matrix)
     results.append(
         _check(
@@ -359,11 +359,10 @@ def conditional_variance_cov(
     cache = precompute_quadratics(model, l)
     nu_fix = sample_nu(model.nu, RngStream(seed + 11, 0))
     c = p / n
-    vals = np.empty(n_reps)
-    for i in range(n_reps):
-        vals[i] = sample_cov_product(
-            model, l, n, RngStream(seed, 14 * _BLOCK + i), fixed_nu=nu_fix, cache=cache
-        )[0]
+    vals = _block_draws(
+        n_reps, seed, 14 * _STRIDE, sample_cov_product, model, l, n,
+        fixed_nu=nu_fix, cache=cache,
+    )
     params = asymptotic_params(model, l, c, nu_fix, ProductKind.COV_TIMES_MEAN, cache=cache)
     center, target = params.center, params.variance
     observed = np.var(np.sqrt(n) * (vals - center), ddof=1)
@@ -398,11 +397,10 @@ def conditional_variance_precision(
     cache = precompute_quadratics(model, l)
     nu_fix = sample_nu(model.nu, RngStream(seed + 12, 0))
     c = p / n
-    vals = np.empty(n_reps)
-    for i in range(n_reps):
-        vals[i] = sample_precision_product(
-            model, l, n, RngStream(seed, 15 * _BLOCK + i), fixed_nu=nu_fix, cache=cache
-        )[0]
+    vals = _block_draws(
+        n_reps, seed, 15 * _STRIDE, sample_precision_product, model, l, n,
+        fixed_nu=nu_fix, cache=cache,
+    )
     params = asymptotic_params(
         model, l, c, nu_fix, ProductKind.PRECISION_TIMES_MEAN, cache=cache
     )
@@ -435,7 +433,7 @@ def conditional_variance_precision(
 
 def variance_form_identity(seed: int, n_instances: int = 1000) -> CheckResult:
     """The two spellings of the precision limit variance must coincide."""
-    gen = RngStream(seed, 16 * _BLOCK).generator
+    gen = RngStream(seed, 16 * _STRIDE).generator
     worst = 0.0
     for _ in range(n_instances):
         p = int(gen.integers(2, 9))
@@ -560,7 +558,7 @@ def _orthant_checks(seed: int) -> list[CheckResult]:
             1e-15,
         )
     )
-    rng = RngStream(seed, 17 * _BLOCK)
+    rng = RngStream(seed, 17 * _STRIDE)
     results.append(
         _check(
             "orthant q=2 independent",
@@ -582,7 +580,7 @@ def _orthant_checks(seed: int) -> list[CheckResult]:
 
 def collapse_check(seed: int) -> CheckResult:
     """Zero loading reduces the density to the matrix normal."""
-    gen = RngStream(seed, 18 * _BLOCK).generator
+    gen = RngStream(seed, 18 * _STRIDE).generator
     p, n, q = 2, 3, 2
     a = gen.standard_normal((p, p))
     sigma = a @ a.T + np.eye(p)
@@ -612,7 +610,7 @@ def _kde_density_consistency(seed: int, n_draws: int = 100_000) -> CheckResult:
     ws = build_workspace(model, 2)
     draws = np.empty((n_draws, 2))
     for i in range(n_draws):
-        x, _ = sample_data_matrix(model, 2, RngStream(seed, 19 * _BLOCK + i))
+        x, _ = sample_data_matrix(model, 2, RngStream(seed, 19 * _STRIDE + i))
         draws[i] = x[0]
     # Pointwise error at density ~0.05 is variance-dominated at this N, so
     # oversmooth relative to the MISE rate; the density is smooth enough

@@ -338,3 +338,73 @@ def test_density_accuracy_not_met_exit_5(tmp_path, monkeypatch):
     monkeypatch.setattr(density, "mvn_orthant_cdf", give_up)
     args = write_density_inputs(tmp_path, json.dumps(TINY_MODEL), "0.5,1.25\n")
     assert run_cli(*args) == 5
+
+
+def test_manifest_records_stream_contract_and_environment(tmp_path):
+    import platform
+
+    import scipy
+
+    out = tmp_path / "run"
+    assert run_cli(*simulate_args(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["block_size"] == 4096
+    assert manifest["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "bit_generator": "PCG64",
+    }
+
+
+@pytest.mark.parametrize("block_size", [None, 1])
+def test_manifest_replay_other_block_size_exit_2(tmp_path, capsys, block_size):
+    out = tmp_path / "run"
+    run_cli(*simulate_args(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    if block_size is None:
+        del manifest["config"]["block_size"]
+    else:
+        manifest["config"]["block_size"] = block_size
+    (tmp_path / "old.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = run_cli(
+        "simulate", "--manifest", str(tmp_path / "old.json"), "--out", str(tmp_path / "x")
+    )
+    assert code == 2
+    assert "stream contract" in capsys.readouterr().err
+
+
+def test_manifest_replay_other_numpy_warns(tmp_path, caplog):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    run_cli(*simulate_args(out1))
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest["environment"]["numpy"] = "0.0.1"
+    (tmp_path / "old.json").write_text(json.dumps(manifest))
+    replay = ("simulate", "--manifest", str(tmp_path / "old.json"), "--out", str(out2))
+    with caplog.at_level("WARNING", logger="locmix.cli"):
+        assert run_cli(*replay) == 0
+    assert any("numpy 0.0.1" in r.getMessage() for r in caplog.records)
+    assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
+
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="locmix.cli"):
+        run_cli("simulate", "--manifest", str(out1 / "manifest.json"), "--out", str(out2))
+    assert not caplog.records
+
+
+def test_density_far_tail_exit_5_without_infinity(tmp_path, capsys):
+    from locmix import RngStream, generate_paper_model, sample_data_matrix
+    from locmix.modelfile import save_model
+
+    model = generate_paper_model(5, 2, 0)
+    data, _ = sample_data_matrix(model, 10, RngStream(1, 0))
+    save_model(model, tmp_path / "model.json")
+    np.savetxt(tmp_path / "data.csv", data - 10.0, delimiter=",", fmt="%.17g")
+    code = run_cli(
+        "density", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv")
+    )
+    captured = capsys.readouterr()
+    assert code == 5
+    assert "Infinity" not in captured.out
+    assert len(captured.err.strip().splitlines()) == 1

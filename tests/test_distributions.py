@@ -108,6 +108,45 @@ def test_noncentral_f_rejects_zero_dof():
         sample_noncentral_f(10, 0, 1.0, RngStream(18, 0))
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng, size: sample_nu(
+            TruncatedNormalAbs(np.array([[1.0, 0.6], [0.6, 2.0]])), rng, size
+        ),
+        lambda rng, size: sample_nu(
+            GeneralizedAsymmetricLaplace(np.array([1.0, 0.5]), np.eye(2), 4.0), rng, size
+        ),
+        lambda rng, size: sample_nu(Degenerate(np.array([1.5, -2.0])), rng, size),
+        lambda rng, size: sample_chi_squared(7, rng, size),
+        lambda rng, size: sample_noncentral_chi_squared(3, 5.0, rng, size),
+        lambda rng, size: sample_noncentral_f(4, 9, 6.0, rng, size),
+        lambda rng, size: sample_noncentral_f(4, 9, 0.0, rng, size),
+    ],
+    ids=["tn", "gal", "degenerate", "chi2", "noncentral-chi2", "noncentral-f", "central-f"],
+)
+def test_block_of_one_equals_scalar_draw(draw):
+    for index in range(5):
+        scalar = draw(RngStream(23, index), None)
+        block = draw(RngStream(23, index), 1)
+        assert block.shape == (1,) + np.shape(scalar)
+        np.testing.assert_array_equal(block[0], scalar)
+
+
+def test_noncentral_blocks_take_one_noncentrality_per_draw():
+    lam = np.array([0.0, 8.0, 0.0, 3.0])
+    draws = sample_noncentral_chi_squared(0, lam, RngStream(24, 0), size=4)
+    assert draws[0] == 0.0 and draws[2] == 0.0
+    assert draws[1] > 0.0 and draws[3] > 0.0
+    # A block draws its Poisson variates, then numerators, then denominators.
+    rng = RngStream(24, 1)
+    f_block = sample_noncentral_f(2, 5, lam, rng, size=4)
+    gen = RngStream(24, 1).generator
+    dof = 2 + 2 * gen.poisson(lam / 2.0)
+    expected = (gen.chisquare(dof) / 2) / (gen.chisquare(5, 4) / 5)
+    np.testing.assert_array_equal(f_block, expected)
+
+
 def test_truncated_normal_abs_support_and_mean():
     dist = TruncatedNormalAbs(np.eye(3))
     rng = RngStream(19, 0)

@@ -4,7 +4,9 @@ import pytest
 from locmix import ProductKind, verify_assumptions
 from locmix.errors import InvalidInputError, RegimeError
 from locmix.figures import figure_config
+import locmix.harness as harness
 from locmix.harness import (
+    BLOCK_SIZE,
     ExperimentConfig,
     default_nu,
     generate_paper_model,
@@ -77,10 +79,24 @@ def test_run_experiment_deterministic():
 
 
 def test_run_experiment_thread_invariance():
-    cfg = small_config(n_reps=500)
+    # Several blocks and a partial last one, split over 3 workers.
+    cfg = small_config(n_reps=2 * BLOCK_SIZE + 17)
     serial = run_experiment(cfg, threads=1)
     parallel = run_experiment(cfg, threads=3)
+    assert serial.shape == (cfg.n_reps,)
     np.testing.assert_array_equal(serial, parallel)
+
+
+def test_run_experiment_builds_model_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate_paper_model(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "generate_paper_model", counting)
+    run_experiment(small_config(n_reps=BLOCK_SIZE + 1), threads=1)
+    assert len(calls) == 1
 
 
 def test_seed_separation():

@@ -152,17 +152,53 @@ def test_precision_p1_degenerate_branch():
     assert value == pytest.approx(expected, rel=1e-14)
 
 
+def test_p1_blocks_replay_documented_draw_order():
+    # A block draws each kind of variate for all its replicates before the
+    # next kind: cov (z, xi, z0), precision (xi_tilde, z0).
+    model = ModelSpec(
+        mu=np.array([0.4]),
+        sigma=np.array([[2.5]]),
+        b=np.array([[0.3]]),
+        nu=Degenerate(np.array([2.0])),
+    )
+    l = np.array([1.7])
+    n = 12
+    values, nus = sample_cov_product(model, l, n, RngStream(7, 2), size=3)
+    gen = RngStream(7, 2).generator
+    z = gen.standard_normal((3, 1))[:, 0]
+    xi = gen.chisquare(n - 1, 3)
+    xbar = 0.4 + 0.3 * 2.0 + np.sqrt(2.5) * z / np.sqrt(n)
+    np.testing.assert_allclose(values, xi / (n - 1) * (1.7 * 2.5 * xbar), rtol=1e-14)
+    np.testing.assert_array_equal(nus, [[2.0]] * 3)
+
+    values, _ = sample_precision_product(model, l, n, RngStream(13, 2), size=3)
+    gen = RngStream(13, 2).generator
+    xi = gen.chisquare(n - 1, 3)
+    z0 = gen.standard_normal(3)
+    a = 1.7 * (0.4 + 0.6) / 2.5
+    expected = (n - 1) / xi * (a + np.sqrt(1.7**2 / 2.5) * z0 / np.sqrt(n))
+    np.testing.assert_allclose(values, expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("family", ["tn", "gal"])
+@pytest.mark.parametrize("sampler", [sample_cov_product, sample_precision_product])
+def test_block_of_one_equals_scalar_draw(sampler, family):
+    model, l = make_dense_model(5, 2, seed=30, family=family)
+    for fixed_nu in (None, np.array([0.5, 1.5])):
+        value, nu_val = sampler(model, l, 20, RngStream(31, 4), fixed_nu=fixed_nu)
+        values, nus = sampler(model, l, 20, RngStream(31, 4), fixed_nu=fixed_nu, size=1)
+        assert isinstance(value, float) and nu_val.shape == (2,)
+        assert values.shape == (1,) and nus.shape == (1, 2)
+        assert values[0] == value
+        np.testing.assert_array_equal(nus[0], nu_val)
+
+
 @pytest.mark.parametrize("family", ["tn", "gal"])
 def test_cov_product_matches_oracle(family):
     model, l = make_dense_model(5, 2, seed=27, family=family)
     n, count = 20, 4000
     cache = precompute_quadratics(model, l)
-    rep = np.array(
-        [
-            sample_cov_product(model, l, n, RngStream(14, i), cache=cache)[0]
-            for i in range(count)
-        ]
-    )
+    rep, _ = sample_cov_product(model, l, n, RngStream(14, 0), cache=cache, size=count)
     orc = oracle_draws(model, l, n, seed=15, count=count)
     assert ks_2samp(rep, orc).statistic <= 0.04
 
@@ -172,12 +208,7 @@ def test_precision_product_matches_oracle(family):
     model, l = make_dense_model(5, 2, seed=28, family=family)
     n, count = 30, 4000
     cache = precompute_quadratics(model, l)
-    rep = np.array(
-        [
-            sample_precision_product(model, l, n, RngStream(16, i), cache=cache)[0]
-            for i in range(count)
-        ]
-    )
+    rep, _ = sample_precision_product(model, l, n, RngStream(16, 0), cache=cache, size=count)
     orc = oracle_draws(model, l, n, seed=17, count=count, precision=True)
     assert ks_2samp(rep, orc).statistic <= 0.04
 
@@ -186,11 +217,6 @@ def test_cov_product_singular_regime_matches_oracle():
     model, l = make_dense_model(15, 2, seed=29)
     n, count = 10, 3000
     cache = precompute_quadratics(model, l)
-    rep = np.array(
-        [
-            sample_cov_product(model, l, n, RngStream(18, i), cache=cache)[0]
-            for i in range(count)
-        ]
-    )
+    rep, _ = sample_cov_product(model, l, n, RngStream(18, 0), cache=cache, size=count)
     orc = oracle_draws(model, l, n, seed=19, count=count)
     assert ks_2samp(rep, orc).statistic <= 0.05
