@@ -29,8 +29,6 @@ from .errors import InvalidInputError, RegimeError, ZeroVectorError
 from .model import ModelSpec
 from .products import ProductKind, QuadraticCache, precompute_quadratics
 
-_CHUNK = 8192
-
 
 @dataclass(frozen=True)
 class AsymptoticParams:
@@ -62,20 +60,21 @@ def _center_variance(
 ) -> tuple[NDArray, NDArray]:
     """(centre, variance) of the chosen product for a shift (q,) or a batch (N, q).
 
-    The precision variance is evaluated in its delta^2 spelling and, in
-    debug builds, checked against the direct spelling (they agree to
-    rounding by construction).
+    Each form costs O(q^2) per shift (see :class:`QuadraticCache`).  The
+    precision variance is evaluated in its delta^2 spelling and, in debug
+    builds, checked against the direct spelling, whose ``m`` comes from a
+    factor of its own; the two agree to rounding.
     """
     cache = cache if cache is not None else precompute_quadratics(model, l)
     if kind is ProductKind.COV_TIMES_MEAN:
         if c < 0:
             raise RegimeError("c must be >= 0")
-        center, quad = cache.cov_forms(cache.mu_nu_eig(nu))
+        center, quad = cache.cov_forms(nu)
         trace_term = c * cache.tr_sigma2 / cache.p
         return center, (quad + trace_term) * cache.l_sigma_l + center**2 + cache.l_sigma3_l
     if not 0.0 <= c < 1.0:
         raise RegimeError("c must lie in [0, 1) for the precision product")
-    a, m, delta_sq = cache.precision_forms(cache.mu_nu_eig(nu))
+    a, m, delta_sq = cache.precision_forms(nu)
     b = cache.l_sigmainv_l
     factor = 1.0 / (1.0 - c) ** 3
     variance = factor * (2.0 * a * a + b * (1.0 + delta_sq))
@@ -172,8 +171,8 @@ def standardize(
 
     ``values`` (N,) are raw draws and ``nus`` (N, q) the shifts they were
     drawn under.  Each draw is mapped to ``sqrt(n) * (value - centre(nu))
-    / sd(nu)``, which is asymptotically standard normal.  Evaluation is
-    vectorized in chunks of draws.
+    / sd(nu)``, which is asymptotically standard normal.  The centres and
+    variances cost O(q^2) per draw and never touch a p-vector.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size == 0:
@@ -182,10 +181,5 @@ def standardize(
     cache = cache if cache is not None else precompute_quadratics(model, l)
     if cache.l_is_zero:
         raise ZeroVectorError("standardization is undefined for l = 0 (zero variance)")
-    out = np.empty_like(values)
-    sqrt_n = np.sqrt(n)
-    for start in range(0, values.size, _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        center, variance = _center_variance(model, l, c, nus[rows], kind, cache)
-        out[rows] = sqrt_n * (values[rows] - center) / np.sqrt(variance)
-    return out
+    center, variance = _center_variance(model, l, c, nus, kind, cache)
+    return np.sqrt(n) * (values - center) / np.sqrt(variance)

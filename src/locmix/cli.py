@@ -150,6 +150,7 @@ def _write_outputs(
     report_doc = {
         "ks": report.ks_statistic,
         "bandwidth": report.bandwidth,
+        "bandwidth_on_grid_edge": report.bandwidth_on_grid_edge,
         "mean": report.mean,
         "variance": report.variance,
         "skewness": report.skewness,

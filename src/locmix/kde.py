@@ -182,9 +182,12 @@ class GofReport:
 
     ``skewness`` uses the plain moment ratio ``m3 / m2^(3/2)`` without
     bias correction; ``variance`` is the unbiased sample variance.
+    ``bandwidth_on_grid_edge`` is true when the LSCV argmin is the
+    smallest or largest candidate, so the optimum may lie off the grid.
     """
 
     bandwidth: float
+    bandwidth_on_grid_edge: bool
     kde_x: NDArray
     kde_density: NDArray
     ks_statistic: float
@@ -211,6 +214,7 @@ def summarize(
         kde_grid = np.linspace(-4.0, 4.0, 201)
     if bandwidth_grid is None:
         bandwidth_grid = default_bandwidth_grid(samples)
+    bandwidth_grid = np.asarray(bandwidth_grid, dtype=float)
     bandwidth = lscv_bandwidth(samples, bandwidth_grid)
     density = epanechnikov_kde(samples, bandwidth, kde_grid)
     mean = float(np.mean(samples))
@@ -219,6 +223,7 @@ def summarize(
     m3 = float(np.mean(centered**3))
     return GofReport(
         bandwidth=bandwidth,
+        bandwidth_on_grid_edge=bandwidth in (bandwidth_grid.min(), bandwidth_grid.max()),
         kde_x=np.asarray(kde_grid, dtype=float),
         kde_density=density,
         ks_statistic=ks_statistic(samples),

@@ -15,9 +15,11 @@ the column covariance:
   with noncentrality ``n * delta^2(nu)``.  Requires p < n - 1 (p = 1 uses
   the degenerate branch with no F term).
 
-Both samplers draw a block of replicates per call (``size``), so the
-cost is O(p + q) array work per replicate after a one-time O(p^2)
-rotation, and Monte Carlo studies never touch a p x n matrix.
+Both samplers draw a block of replicates per call (``size``) and never
+touch a p x n matrix.  After a one-time rotation, a covariance draw
+costs its p normals and one O(p q) contraction of them, and a precision
+draw costs O(q^2): the shift enters only through forms that
+:class:`QuadraticCache` reduces to (q+1)-vectors and triangular factors.
 """
 
 from __future__ import annotations
@@ -44,18 +46,35 @@ class ProductKind(enum.Enum):
     PRECISION_TIMES_MEAN = "precision"
 
 
-def _weighted_squares(x: NDArray, weights: NDArray) -> NDArray:
-    """``sum_j weights_j x_j^2`` over the last axis, without an ``x**2`` temporary."""
-    return np.einsum("...j,...j,j->...", x, x, weights)
+class _ShiftForm:
+    """``||R [1, nu]||^2`` for the triangular factor R of a ``(p, q+1)`` matrix F.
+
+    ``F [1, nu]`` is a p-vector, so ``||F [1, nu]||^2 = ||R [1, nu]||^2``
+    costs O(q^2) per shift once R (``min(p, q+1)`` rows) is known, and is
+    a sum of squares: never negative.
+    """
+
+    def __init__(self, f: NDArray):
+        r = np.linalg.qr(f, mode="r")
+        self._const = r[:, 0]
+        self._slope_t = r[:, 1:].T.copy()
+
+    def __call__(self, nu: NDArray) -> NDArray:
+        y = nu @ self._slope_t
+        y += self._const
+        return np.einsum("...j,...j->...", y, y)
 
 
 class QuadraticCache:
     """Eigenbasis rotation of (model, l) plus every scalar form the samplers need.
 
-    Immutable after construction and safe to share across threads.  The
-    per-shift forms contract over the last axis, so they take one shift
-    ``(q,)`` or rotated mean ``(p,)`` and return scalars, or a batch
-    ``(N, q)`` / ``(N, p)`` and return ``(N,)`` arrays.
+    Immutable after construction and safe to share across threads.  With
+    ``M = U'[mu, B]`` (p x (q+1)) and ``x = [1, nu]`` the shifted mean is
+    ``U'mu_nu = M x``, so each shift form is linear or quadratic in ``x``
+    and is built once here: the linear forms as ``(q+1)``-vectors, the
+    quadratic ones as triangular factors (:class:`_ShiftForm`).  The
+    per-shift forms take one shift ``(q,)`` and return scalars, or a batch
+    ``(N, q)`` and return ``(N,)`` arrays, in O(q^2) per shift.
     """
 
     def __init__(self, model: ModelSpec, l: NDArray):
@@ -65,44 +84,57 @@ class QuadraticCache:
         dec = decompose_sigma(model.sigma)
         lam = dec.eigenvalues
         u_t = dec.eigenvectors.T
+        l_eig = u_t @ l
+        m = np.column_stack([u_t @ model.mu, u_t @ model.b])
         self.p = model.p
         self.eigenvalues = lam
-        self.l_eig = u_t @ l
-        self.mu_eig = u_t @ model.mu
-        self.b_eig_t = (u_t @ model.b).T
-        self.l_sigma_l = float(np.sum(lam * self.l_eig**2))
-        self.l_sigma3_l = float(np.sum(lam**3 * self.l_eig**2))
-        self.l_sigmainv_l = float(np.sum(self.l_eig**2 / lam))
+        self.l_sigma_l = float(np.sum(lam * l_eig**2))
+        self.l_sigma3_l = float(np.sum(lam**3 * l_eig**2))
+        self.l_sigmainv_l = float(np.sum(l_eig**2 / lam))
         self.tr_sigma2 = float(np.sum(lam**2))
         self.l_is_zero = not np.any(l)
-        # Weight vectors reused by the per-draw dot products.
-        self._lam_l = lam * self.l_eig
-        self._l_over_lam = self.l_eig / lam
-        self._inv_lam = 1.0 / lam
+        # Lambda [l, M] (p x (q+2)): the cov sampler contracts its normals with it.
+        self.lam_l_m = lam[:, None] * np.column_stack([l_eig, m])
+        # l'Sigma mu_nu = x'(M'Lambda l) and l'Sigma^{-1} mu_nu = x'(M'Lambda^{-1} l).
+        self._l_sigma_m = self.lam_l_m[:, 0] @ m
+        self._l_sigmainv_m = (l_eig / lam) @ m
+        # mu_nu'Sigma mu_nu and mu_nu'Sigma^{-1} mu_nu.
+        self._sigma_form = _ShiftForm(np.sqrt(lam)[:, None] * m)
+        inv_root_m = m / np.sqrt(lam)[:, None]
+        self._sigmainv_form = _ShiftForm(inv_root_m)
+        # delta^2: mu_nu'Sigma^{-1} mu_nu after projecting Lambda^{-1/2} mu_nu
+        # off v = Lambda^{-1/2} l (undefined for l = 0).
+        self._delta_sq_form = None
+        if not self.l_is_zero:
+            v = l_eig / np.sqrt(lam)
+            self._delta_sq_form = _ShiftForm(
+                inv_root_m - np.outer(v, (v @ inv_root_m) / self.l_sigmainv_l)
+            )
 
-    def mu_nu_eig(self, nu: NDArray) -> NDArray:
-        """Shifted mean ``mu + B nu`` expressed in the eigenbasis."""
-        m_eig = nu @ self.b_eig_t
-        m_eig += self.mu_eig
-        return m_eig
+    def cov_forms(self, nu: NDArray) -> tuple[NDArray, NDArray]:
+        """(l'Sigma mu_nu, mu_nu'Sigma mu_nu) for a shift ``(q,)`` or shifts ``(N, q)``."""
+        return (
+            nu @ self._l_sigma_m[1:] + self._l_sigma_m[0],
+            self._sigma_form(nu),
+        )
 
-    def cov_forms(self, m_eig: NDArray) -> tuple[NDArray, NDArray]:
-        """(l'Sigma mu_nu, mu_nu'Sigma mu_nu) from the rotated shifted mean."""
-        return m_eig @ self._lam_l, _weighted_squares(m_eig, self.eigenvalues)
-
-    def precision_forms(self, m_eig: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-        """(l'Sigma^{-1} mu_nu, mu_nu'Sigma^{-1} mu_nu, delta^2) from the rotated mean.
+    def precision_forms(self, nu: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+        """(l'Sigma^{-1} mu_nu, mu_nu'Sigma^{-1} mu_nu, delta^2) for shifts as above.
 
         ``delta^2 = mu_nu'Sigma^{-1}mu_nu - (l'Sigma^{-1}mu_nu)^2 /
         l'Sigma^{-1}l`` is the squared residual of the precision-metric
-        projection of ``mu_nu`` onto ``l``; it is clipped at zero against
-        rounding.
+        projection of ``mu_nu`` onto ``l``.  It is evaluated as that
+        residual's own sum of squares, not as the difference, so it is
+        non-negative and keeps its relative accuracy when ``mu_nu`` is
+        nearly parallel to ``l``.
         """
         if self.l_is_zero:
             raise ZeroVectorError("l must be nonzero for the precision product")
-        a = m_eig @ self._l_over_lam
-        m = _weighted_squares(m_eig, self._inv_lam)
-        return a, m, np.maximum(m - a * a / self.l_sigmainv_l, 0.0)
+        return (
+            nu @ self._l_sigmainv_m[1:] + self._l_sigmainv_m[0],
+            self._sigmainv_form(nu),
+            self._delta_sq_form(nu),
+        )
 
 
 def precompute_quadratics(model: ModelSpec, l: NDArray) -> QuadraticCache:
@@ -150,11 +182,17 @@ def sample_cov_product(
     cache = cache if cache is not None else QuadraticCache(model, l)
     count = 1 if size is None else size
     nus = _shift_block(model, rng, fixed_nu, count)
+    # In the eigenbasis xbar = M x + s z with s = sqrt(Lambda/n), so
+    # l'Lambda xbar and xbar'Lambda xbar are the shift forms plus terms in
+    # z @ (s Lambda [l, M]) and sum(Lambda s^2 z^2): the (count, p) mean is
+    # never built.
     gen = rng.generator
-    xbar_eig = gen.standard_normal((count, cache.p))
-    xbar_eig *= np.sqrt(cache.eigenvalues / n)
-    xbar_eig += cache.mu_nu_eig(nus)
-    g, quad = cache.cov_forms(xbar_eig)
+    z = gen.standard_normal((count, cache.p))
+    zw = z @ (np.sqrt(cache.eigenvalues / n)[:, None] * cache.lam_l_m)
+    g_mu, quad_mu = cache.cov_forms(nus)
+    g = zw[:, 0] + g_mu
+    cross = zw[:, 1] + np.einsum("ij,ij->i", zw[:, 2:], nus)
+    quad = np.einsum("ij,ij,j->i", z, z, cache.eigenvalues**2 / n) + 2.0 * cross + quad_mu
     xi = sample_chi_squared(n - 1, rng, count)
     z0 = gen.standard_normal(count)
     if cache.p == 1:
@@ -193,7 +231,7 @@ def sample_precision_product(
     count = 1 if size is None else size
     nus = _shift_block(model, rng, fixed_nu, count)
     p = cache.p
-    a, _, delta_sq = cache.precision_forms(cache.mu_nu_eig(nus))
+    a, _, delta_sq = cache.precision_forms(nus)
     xi_tilde = sample_chi_squared(n - p, rng, count)
     z0 = rng.generator.standard_normal(count)
     noise_scale = np.sqrt(cache.l_sigmainv_l)

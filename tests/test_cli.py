@@ -40,6 +40,7 @@ def test_simulate_writes_artifacts(tmp_path):
     assert set(report) == {
         "ks",
         "bandwidth",
+        "bandwidth_on_grid_edge",
         "mean",
         "variance",
         "skewness",

@@ -161,9 +161,20 @@ def test_summarize_standard_normal_sample():
     assert abs(report.mean) <= 0.02
     assert abs(report.variance - 1.0) <= 0.02
     assert report.bandwidth > 0
+    assert not report.bandwidth_on_grid_edge
     assert np.all(report.kde_density >= 0)
     # Emitted estimate integrates to one over the default grid.
     assert np.trapezoid(report.kde_density, report.kde_x) == pytest.approx(1.0, abs=0.02)
+
+
+def test_summarize_flags_argmin_on_grid_edge():
+    # Every candidate is far below the LSCV optimum (about 0.5 here), so the
+    # largest one wins; the order of the grid does not matter.
+    samples = np.random.default_rng(9).standard_normal(5_000)
+    grid = np.array([0.004, 0.001, 0.002])
+    report = summarize(samples, bandwidth_grid=grid)
+    assert report.bandwidth == 0.004
+    assert report.bandwidth_on_grid_edge
 
 
 def test_summarize_requires_enough_samples():

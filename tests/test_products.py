@@ -38,7 +38,7 @@ def test_delta_sq_examples():
         nu=Degenerate(np.zeros(1)),
     )
     cache = precompute_quadratics(model, np.array([1.0, 0.0, 0.0]))
-    _, _, delta_sq = cache.precision_forms(cache.mu_nu_eig(np.zeros(1)))
+    _, _, delta_sq = cache.precision_forms(np.zeros(1))
     assert delta_sq == pytest.approx(13.0, abs=1e-12)
 
     # Shift parallel to l: the projection residual vanishes.
@@ -49,7 +49,7 @@ def test_delta_sq_examples():
         nu=Degenerate(np.zeros(1)),
     )
     cache = precompute_quadratics(parallel, np.array([1.0, 0.0, 0.0]))
-    _, _, delta_sq = cache.precision_forms(cache.mu_nu_eig(np.zeros(1)))
+    _, _, delta_sq = cache.precision_forms(np.zeros(1))
     assert delta_sq == pytest.approx(0.0, abs=1e-12)
 
 
@@ -57,12 +57,68 @@ def test_delta_sq_matches_dense_projection():
     model, l = make_dense_model(5, 2, seed=21)
     nu_val = sample_nu(model.nu, RngStream(5, 0))
     cache = precompute_quadratics(model, l)
-    _, _, delta_sq = cache.precision_forms(cache.mu_nu_eig(nu_val))
+    _, _, delta_sq = cache.precision_forms(nu_val)
     sigma_inv = np.linalg.inv(model.sigma)
     r_l = sigma_inv - np.outer(sigma_inv @ l, sigma_inv @ l) / (l @ sigma_inv @ l)
     mv = model.mu + model.b @ nu_val
     dense = mv @ r_l @ mv
     assert abs(delta_sq - dense) <= 1e-10 * max(1.0, abs(dense))
+
+
+def _direct_shift_forms(model, l, nu):
+    """The five shift forms as p-sums of mu_nu in the original basis."""
+    mu_nu = model.mu + model.b @ nu
+    sigma_inv_l = np.linalg.solve(model.sigma, l)
+    sigma_inv_mu = np.linalg.solve(model.sigma, mu_nu)
+    a = l @ sigma_inv_mu
+    b = l @ sigma_inv_l
+    resid = mu_nu - a / b * l
+    return (
+        l @ model.sigma @ mu_nu,
+        mu_nu @ model.sigma @ mu_nu,
+        a,
+        mu_nu @ sigma_inv_mu,
+        resid @ np.linalg.solve(model.sigma, resid),
+    )
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (5, 2), (40, 3)])
+def test_shift_forms_match_direct_sums(p, q):
+    # (1, 3) has q + 1 > p, so the triangular factors have min(p, q+1) rows.
+    model, l = make_dense_model(p, q, seed=35)
+    cache = precompute_quadratics(model, l)
+    nus = sample_nu(model.nu, RngStream(36, p), 6)
+
+    def forms(nu):
+        return (*cache.cov_forms(nu), *cache.precision_forms(nu))
+
+    batch = forms(nus)
+    for row, nu_val in enumerate(nus):
+        expected = _direct_shift_forms(model, l, nu_val)
+        for one, many, want in zip(forms(nu_val), batch, expected):
+            tol = 1e-12 * max(1.0, abs(want))
+            assert np.ndim(one) == 0 and abs(one - want) <= tol
+            assert abs(many[row] - want) <= tol
+
+
+@pytest.mark.parametrize("p, q", [(5, 2), (40, 3)])
+def test_delta_sq_near_parallel_shift(p, q):
+    # mu_nu = 2 l + 1e-6 e: delta^2 is about 1e-12 of mu_nu'Sigma^{-1}mu_nu.
+    # Taking m - a^2/b loses most digits there; the projected residual's
+    # own sum of squares keeps them.  The reference projects the stored
+    # deviation mu - 2 l, which is exact, so it has no cancellation.
+    model, l = make_dense_model(p, q, seed=35)
+    e = np.zeros(p)
+    e[-1] = 1.0
+    mu = 2.0 * l + 1e-6 * e
+    parallel = ModelSpec(mu=mu, sigma=model.sigma, b=model.b, nu=model.nu)
+    _, _, delta_sq = precompute_quadratics(parallel, l).precision_forms(np.zeros(q))
+    dev = mu - 2.0 * l
+    resid = dev - (l @ np.linalg.solve(model.sigma, dev)) / (
+        l @ np.linalg.solve(model.sigma, l)
+    ) * l
+    expected = resid @ np.linalg.solve(model.sigma, resid)
+    assert abs(delta_sq - expected) <= 1e-9 * expected
 
 
 def test_cov_product_zero_l_short_circuits():
