@@ -73,7 +73,6 @@ from .density import (
     DensityWorkspace,
     build_workspace,
     log_density,
-    log_density_mixture_quad,
     mvn_orthant_cdf,
 )
 from .rng import RngStream

@@ -129,9 +129,9 @@ def _write_outputs(
     normal_column: bool,
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["standardized"]
-    lines.extend(_fmt(v) for v in standardized)
-    (out_dir / "samples.csv").write_text("\n".join(lines) + "\n")
+    # The same text as _fmt, formatted from Python floats in one pass.
+    body = "\n".join(map("%.17g".__mod__, standardized.tolist()))
+    (out_dir / "samples.csv").write_text("standardized\n" + body + "\n")
 
     if normal_column:
         header = "x,density,normal"

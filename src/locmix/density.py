@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 from .distributions import TruncatedNormalAbs
 from .errors import (
@@ -145,6 +143,9 @@ def mvn_orthant_cdf(
         If the point budget is exhausted first; carries the achieved
         standard error.
     """
+    # Imported here: scipy.stats takes most of a second, and sampling never gets here.
+    from scipy.stats import qmc
+
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
     q = mean.shape[0]
@@ -304,38 +305,3 @@ def log_density(
         log_orthant = float(np.log(prob))
     return log_orthant + log_phi - workspace.log_c
 
-
-def log_density_mixture_quad(model: ModelSpec, n: int, z: NDArray) -> float:
-    """Quadrature oracle for the q = 1 half-normal mixture density.
-
-    Integrates the matrix-normal density against the half-normal mixing
-    density directly.  Slow and limited to one mixing dimension; intended
-    for validating :func:`log_density` at desk scale.
-    """
-    if not isinstance(model.nu, TruncatedNormalAbs):
-        raise UnsupportedMixingError("quadrature fallback requires half-normal mixing")
-    if model.q != 1:
-        raise UnsupportedMixingError("quadrature fallback supports q = 1 only")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (model.p, n):
-        raise InvalidDimensionError("data must be (p, n)")
-    omega = float(model.nu.omega[0, 0])
-    sigma_inv = np.linalg.solve(model.sigma, np.eye(model.p))
-    _, log_det_sigma = _chol_logdet(model.sigma, "sigma")
-    b = model.b[:, 0]
-
-    def matrix_normal_pdf(nu_star: float) -> float:
-        m = z - (model.mu + b * nu_star)[:, None]
-        quad_form = float(np.sum(m * (sigma_inv @ m)))
-        return np.exp(-0.5 * (model.p * n * _LOG_2PI + n * log_det_sigma + quad_form))
-
-    def half_normal_pdf(v: float) -> float:
-        return 2.0 / np.sqrt(2.0 * np.pi * omega) * np.exp(-0.5 * v * v / omega)
-
-    val, _ = quad(
-        lambda v: matrix_normal_pdf(v) * half_normal_pdf(v),
-        0.0,
-        np.inf,
-        limit=400,
-    )
-    return float(np.log(val))

@@ -75,22 +75,26 @@ def _pairwise_kernel_sums(s: NDArray, h: float) -> tuple[float, float]:
         b1 = min(b0 + block, n)
         first = lo_c[b0]
         t = s[first:b1] - s[(b0 + b1) // 2]
-        powers = [np.ones_like(t)]
-        for _ in range(5):
-            powers.append(powers[-1] * t)
+        # Row k holds the prefix sums of t^k; row 0 counts, exactly.
         prefix = np.zeros((6, t.size + 1))
-        np.cumsum(powers, axis=1, out=prefix[:, 1:])
+        prefix[0] = np.arange(t.size + 1)
+        power = np.ones_like(t)
+        for row in prefix[1:]:
+            power *= t
+            np.cumsum(power, out=row[1:])
         x = t[b0 - first :]
         x2 = x * x
         below = prefix[:, b0 - first : b1 - first]
 
         # K window: gaps below h.
-        w = below - prefix[:, lo_k[b0:b1] - first]
+        lo = lo_k[b0:b1] - first
+        w = [below[k] - prefix[k].take(lo) for k in range(3)]
         d2 = x2 * w[0] - 2.0 * x * w[1] + w[2]
         sums_k += 0.75 * float(np.sum(w[0] - d2 / h2))
 
         # K*K window: gaps below 2h; needs gap powers up to 5.
-        w = below - prefix[:, lo_c[b0:b1] - first]
+        lo = lo_c[b0:b1] - first
+        w = [below[k] - prefix[k].take(lo) for k in range(6)]
         d2 = x2 * w[0] - 2.0 * x * w[1] + w[2]
         d3 = x2 * x * w[0] - 3.0 * x2 * w[1] + 3.0 * x * w[2] - w[3]
         d5 = (

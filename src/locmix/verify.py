@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from .asymptotics import asymptotic_params, sigma2_nu, sigma2_tilde_nu
-from .density import (
-    build_workspace,
-    log_density,
-    log_density_mixture_quad,
-    mvn_orthant_cdf,
-)
+from .density import _LOG_2PI, _chol_logdet, build_workspace, log_density, mvn_orthant_cdf
 from .distributions import (
     GeneralizedAsymmetricLaplace,
     TruncatedNormalAbs,
@@ -33,6 +29,7 @@ from .distributions import (
     sample_nu,
     sample_std_normal_vec,
 )
+from .errors import InvalidDimensionError, UnsupportedMixingError
 from .harness import BLOCK_SIZE, default_nu, generate_paper_model
 from .model import ModelSpec, sample_data_matrix, sample_mean_and_cov
 from .products import (
@@ -533,6 +530,35 @@ def normalization_check(seed: int) -> CheckResult:
     )
     integral = float(w @ vals @ w)
     return _check("density normalization at (1,2,1)", abs(integral - 1.0), 1e-3)
+
+
+def log_density_mixture_quad(model: ModelSpec, n: int, z: NDArray) -> float:
+    """Quadrature oracle for the q = 1 half-normal mixture density.
+
+    Integrates the matrix-normal density against the half-normal mixing
+    density directly.  Slow and limited to one mixing dimension; intended
+    for validating :func:`log_density` at desk scale.
+    """
+    if not isinstance(model.nu, TruncatedNormalAbs):
+        raise UnsupportedMixingError("quadrature fallback requires half-normal mixing")
+    if model.q != 1:
+        raise UnsupportedMixingError("quadrature fallback supports q = 1 only")
+    z = np.asarray(z, dtype=float)
+    if z.shape != (model.p, n):
+        raise InvalidDimensionError("data must be (p, n)")
+    omega = float(model.nu.omega[0, 0])
+    sigma_inv = np.linalg.solve(model.sigma, np.eye(model.p))
+    _, log_det_sigma = _chol_logdet(model.sigma, "sigma")
+    b = model.b[:, 0]
+
+    def integrand(v: float) -> float:
+        """Matrix-normal density at shift v times the half-normal density of v."""
+        m = z - (model.mu + b * v)[:, None]
+        quad_form = float(np.sum(m * (sigma_inv @ m)))
+        normal = np.exp(-0.5 * (model.p * n * _LOG_2PI + n * log_det_sigma + quad_form))
+        return normal * (2.0 / np.sqrt(2.0 * np.pi * omega) * np.exp(-0.5 * v * v / omega))
+
+    return float(np.log(quad(integrand, 0.0, np.inf, limit=400)[0]))
 
 
 def mixture_agreement_check(seed: int) -> CheckResult:

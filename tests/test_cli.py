@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,25 @@ def simulate_args(out, nreps=500, extra=()):
         "--threads", "1",
         *extra,
     ]
+
+
+def test_import_leaves_density_stack_unloaded():
+    # Sampling runs must not pay for scipy.stats or scipy.integrate; only
+    # the orthant probability and the verify oracles import them.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, locmix, locmix.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_simulate_writes_artifacts(tmp_path):

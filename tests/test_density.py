@@ -8,7 +8,6 @@ from locmix import (
     TruncatedNormalAbs,
     build_workspace,
     log_density,
-    log_density_mixture_quad,
     mvn_orthant_cdf,
 )
 from locmix.errors import (
@@ -20,6 +19,7 @@ from locmix.errors import (
 from locmix.verify import (
     collapse_check,
     determinant_identity_check,
+    log_density_mixture_quad,
     mixture_agreement_check,
     normalization_check,
 )

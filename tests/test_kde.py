@@ -128,6 +128,24 @@ def test_lscv_default_grid_interior_and_accurate(seed):
         assert abs(score - direct) <= 1e-6 * abs(direct)
 
 
+@pytest.mark.parametrize(
+    "draw, rel_tol",
+    [
+        (lambda gen, n: gen.standard_normal(n), 1e-10),
+        # Heavy tails: blocks sized by count span many bandwidths out there.
+        (lambda gen, n: gen.standard_t(3, n), 2e-8),
+    ],
+    ids=["normal", "t3"],
+)
+def test_lscv_accurate_across_default_grid(draw, rel_tol):
+    samples = draw(np.random.default_rng(0), 5_000)
+    grid = default_bandwidth_grid(samples)[[0, 7, 14, 21, 29]]
+    scores = lscv_scores(samples, grid)
+    for h, score in zip(grid, scores):
+        direct = _direct_lscv(samples, h)
+        assert abs(score - direct) <= rel_tol * abs(direct)
+
+
 def test_lscv_validates_inputs():
     with pytest.raises(InvalidInputError):
         lscv_bandwidth(np.array([1.0, 2.0]), np.array([]))
