@@ -15,15 +15,7 @@ The package provides:
   command-line tool (:mod:`locmix.cli`).
 """
 
-from .asymptotics import (
-    AsymptoticParams,
-    CorollaryParams,
-    asymptotic_params,
-    corollary_params,
-    sigma2_nu,
-    sigma2_tilde_nu,
-    standardize,
-)
+from .asymptotics import limit_moments, standardize
 from .distributions import (
     Degenerate,
     GeneralizedAsymmetricLaplace,
@@ -35,7 +27,6 @@ from .distributions import (
     sample_noncentral_chi_squared,
     sample_noncentral_f,
     sample_nu,
-    sample_std_normal_vec,
 )
 from .harness import (
     ExperimentConfig,

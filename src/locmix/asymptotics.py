@@ -15,12 +15,11 @@ The precision variance has an equivalent second spelling,
 both are evaluated and must agree.
 
 Replacing the random shift by its mean gives the unconditional limits
-used when the shift dimension grows with n.
+used when the shift dimension grows with n: the same formulas, evaluated
+by :func:`limit_moments` at ``nu_mean(model.nu)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,41 +29,26 @@ from .model import ModelSpec
 from .products import ProductKind, QuadraticCache, precompute_quadratics
 
 
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Centre and variance of one product limit, conditional on the shift."""
-
-    kind: ProductKind
-    c: float
-    center: float
-    variance: float
-    nu_value: NDArray
-
-
-@dataclass(frozen=True)
-class CorollaryParams:
-    """Unconditional limits obtained by substituting the shift mean ``omega_mean``."""
-
-    omega_mean: NDArray
-    sigma2: float
-    sigma2_tilde: float | None
-
-
-def _center_variance(
+def limit_moments(
     model: ModelSpec,
     l: NDArray,
     c: float,
     nu: NDArray,
     kind: ProductKind,
-    cache: QuadraticCache | None,
+    *,
+    cache: QuadraticCache | None = None,
 ) -> tuple[NDArray, NDArray]:
-    """(centre, variance) of the chosen product for a shift (q,) or a batch (N, q).
+    """(centre, variance) of the chosen product's limit, conditional on the shift.
 
-    Each form costs O(q^2) per shift (see :class:`QuadraticCache`).  The
-    precision variance is evaluated in its delta^2 spelling and, in debug
-    builds, checked against the direct spelling, whose ``m`` comes from a
-    factor of its own; the two agree to rounding.
+    Takes one shift ``(q,)`` and returns scalars, or shifts ``(N, q)`` and
+    returns ``(N,)`` arrays.  The unconditional limits are this call at
+    the shift mean, ``nu_mean(model.nu)``.  Each form costs O(q^2) per
+    shift (see :class:`QuadraticCache`).  The precision variance is
+    evaluated in its delta^2 spelling and, in debug builds, checked
+    against the direct spelling, whose ``m`` comes from a factor of its
+    own; the two agree to rounding.
     """
+    nu = np.asarray(nu, dtype=float)
     cache = cache if cache is not None else precompute_quadratics(model, l)
     if kind is ProductKind.COV_TIMES_MEAN:
         if c < 0:
@@ -84,76 +68,6 @@ def _center_variance(
             "precision variance spellings disagree"
         )
     return a / (1.0 - c), variance
-
-
-def sigma2_nu(
-    model: ModelSpec,
-    l: NDArray,
-    c: float,
-    nu_value: NDArray,
-    *,
-    cache: QuadraticCache | None = None,
-) -> float:
-    """Conditional limit variance of sqrt(n)-scaled ``l'S xbar``."""
-    return asymptotic_params(
-        model, l, c, nu_value, ProductKind.COV_TIMES_MEAN, cache=cache
-    ).variance
-
-
-def sigma2_tilde_nu(
-    model: ModelSpec,
-    l: NDArray,
-    c: float,
-    nu_value: NDArray,
-    *,
-    cache: QuadraticCache | None = None,
-) -> float:
-    """Conditional limit variance of sqrt(n)-scaled ``l'S^{-1} xbar``."""
-    return asymptotic_params(
-        model, l, c, nu_value, ProductKind.PRECISION_TIMES_MEAN, cache=cache
-    ).variance
-
-
-def asymptotic_params(
-    model: ModelSpec,
-    l: NDArray,
-    c: float,
-    nu_value: NDArray,
-    kind: ProductKind,
-    *,
-    cache: QuadraticCache | None = None,
-) -> AsymptoticParams:
-    """Bundle centre and variance of the chosen product for one shift."""
-    nu_value = np.asarray(nu_value, dtype=float).reshape(-1)
-    center, variance = _center_variance(model, l, c, nu_value, kind, cache)
-    return AsymptoticParams(
-        kind=kind, c=c, center=float(center), variance=float(variance), nu_value=nu_value
-    )
-
-
-def corollary_params(
-    model: ModelSpec,
-    l: NDArray,
-    c: float,
-    omega_mean: NDArray,
-    *,
-    cache: QuadraticCache | None = None,
-) -> CorollaryParams:
-    """Unconditional limits: the conditional formulas evaluated at the shift mean.
-
-    ``sigma2_tilde`` is filled only when ``c < 1`` and ``l`` is nonzero
-    (the precision product does not exist otherwise).
-    """
-    cache = cache if cache is not None else precompute_quadratics(model, l)
-    omega_mean = np.asarray(omega_mean, dtype=float).reshape(-1)
-    sigma2_tilde = None
-    if 0.0 <= c < 1.0 and not cache.l_is_zero:
-        sigma2_tilde = sigma2_tilde_nu(model, l, c, omega_mean, cache=cache)
-    return CorollaryParams(
-        omega_mean=omega_mean,
-        sigma2=sigma2_nu(model, l, c, omega_mean, cache=cache),
-        sigma2_tilde=sigma2_tilde,
-    )
 
 
 def standardize(
@@ -181,5 +95,5 @@ def standardize(
     cache = cache if cache is not None else precompute_quadratics(model, l)
     if cache.l_is_zero:
         raise ZeroVectorError("standardization is undefined for l = 0 (zero variance)")
-    center, variance = _center_variance(model, l, c, nus, kind, cache)
+    center, variance = limit_moments(model, l, c, nus, kind, cache=cache)
     return np.sqrt(n) * (values - center) / np.sqrt(variance)

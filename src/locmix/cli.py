@@ -50,7 +50,7 @@ from .harness import (
     run_experiment,
     summarize_experiment,
 )
-from .kde import GofReport
+from .kde import DEFAULT_KDE_GRID, GofReport
 from .modelfile import load_model, nu_to_json, parse_nu
 from .products import ProductKind
 from .rng import BIT_GENERATOR
@@ -110,7 +110,7 @@ def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
             nu=parse_nu(doc["nu"]),
             master_seed=int(doc["master_seed"]),
             model_seed=int(doc["model_seed"]),
-            kde_grid=tuple(doc.get("kde_grid", (-4.0, 4.0, 201))),
+            kde_grid=tuple(doc.get("kde_grid", DEFAULT_KDE_GRID)),
             bandwidth_grid=None
             if doc.get("bandwidth_grid") is None
             else tuple(doc["bandwidth_grid"]),
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes (output is independent of this)",
+        help="threads that draw the replicates (output is independent of this)",
     )
     sim.add_argument(
         "--manifest", default=None, help="re-run the config stored in a manifest file"

@@ -128,13 +128,6 @@ class Degenerate:
 NuDistribution = Union[TruncatedNormalAbs, GeneralizedAsymmetricLaplace, Degenerate]
 
 
-def sample_std_normal_vec(dim: int, rng: RngStream) -> NDArray:
-    """Draw one vector of ``dim`` i.i.d. standard normal entries."""
-    if dim < 1:
-        raise InvalidDimensionError("dim must be >= 1")
-    return rng.generator.standard_normal(dim)
-
-
 def sample_chi_squared(k: int, rng: RngStream, size: int | None = None) -> float | NDArray:
     """Draw from the chi-squared law with ``k >= 1`` degrees of freedom.
 

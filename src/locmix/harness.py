@@ -8,17 +8,19 @@ representation, and is centred/scaled with that replicate's shift.
 Replicates are drawn in blocks of :data:`BLOCK_SIZE`: block ``b`` holds
 replicates ``[b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)`` (the last block may
 be shorter) and is drawn by one sampler call with ``size`` set to its
-length, from stream ``b`` of the experiment's master seed.  Workers take
-contiguous ranges of whole blocks, so results are bit-identical for any
-degree of parallelism.  Changing ``BLOCK_SIZE`` changes every draw; the
-manifest records it.
+length, from stream ``b`` of the experiment's master seed.  Threads take
+contiguous ranges of whole blocks and share one model and one
+:class:`~locmix.products.QuadraticCache`, so results are bit-identical
+for any degree of parallelism.  Changing ``BLOCK_SIZE`` changes every
+draw; the manifest records it.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,10 +32,11 @@ from .distributions import (
     TruncatedNormalAbs,
 )
 from .errors import InvalidInputError, RegimeError
-from .kde import GofReport, summarize
+from .kde import DEFAULT_KDE_GRID, GofReport, summarize
 from .model import ModelSpec
 from .products import (
     ProductKind,
+    QuadraticCache,
     precompute_quadratics,
     sample_cov_product,
     sample_precision_product,
@@ -66,7 +69,7 @@ class ExperimentConfig:
     nu: NuDistribution
     master_seed: int
     model_seed: int
-    kde_grid: tuple[float, float, int] = (-4.0, 4.0, 201)
+    kde_grid: tuple[float, float, int] = DEFAULT_KDE_GRID
     bandwidth_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -123,16 +126,20 @@ def generate_paper_model(
     return ModelSpec(mu=mu, sigma=np.diag(diag), b=b, nu=nu)
 
 
-def _draw_range(cfg: ExperimentConfig, first_block: int, stop_block: int) -> NDArray:
+def _draw_range(
+    cfg: ExperimentConfig,
+    model: ModelSpec,
+    l: NDArray,
+    cache: QuadraticCache,
+    first_block: int,
+    stop_block: int,
+) -> NDArray:
     """Standardized draws of blocks [first_block, stop_block).
 
-    Builds the model and its rotation once; block ``b`` is drawn from
-    ``RngStream(master_seed, b)`` and standardized as soon as it is drawn,
-    so no ``(n_reps, q)`` array of shifts is kept.
+    Block ``b`` is drawn from ``RngStream(master_seed, b)`` and
+    standardized as soon as it is drawn, so no ``(n_reps, q)`` array of
+    shifts is kept.
     """
-    model = generate_paper_model(cfg.p, cfg.q, cfg.model_seed, nu=cfg.nu)
-    l = np.ones(cfg.p)
-    cache = precompute_quadratics(model, l)
     sampler = (
         sample_cov_product
         if cfg.product is ProductKind.COV_TIMES_MEAN
@@ -154,16 +161,21 @@ def _draw_range(cfg: ExperimentConfig, first_block: int, stop_block: int) -> NDA
 def run_experiment(cfg: ExperimentConfig, threads: int | None = 1) -> NDArray:
     """Produce the (n_reps,) standardized sample of one experiment.
 
-    ``threads`` only controls how contiguous block ranges are spread over
-    worker processes; the output is identical for every value.
+    Builds the model and its rotation once.  ``threads`` only controls how
+    contiguous block ranges are spread over threads that share them; the
+    output is identical for every value.
     """
+    model = generate_paper_model(cfg.p, cfg.q, cfg.model_seed, nu=cfg.nu)
+    l = np.ones(cfg.p)
+    cache = precompute_quadratics(model, l)
     n_blocks = -(-cfg.n_reps // BLOCK_SIZE)
     n_workers = min(threads or 1, n_blocks)
     if n_workers <= 1:
-        return _draw_range(cfg, 0, n_blocks)
+        return _draw_range(cfg, model, l, cache, 0, n_blocks)
     bounds = np.linspace(0, n_blocks, n_workers + 1).astype(int).tolist()
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        parts = pool.map(_draw_range, [cfg] * n_workers, bounds[:-1], bounds[1:])
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        draw = partial(_draw_range, cfg, model, l, cache)
+        parts = pool.map(draw, bounds[:-1], bounds[1:])
         return np.concatenate(list(parts))
 
 

@@ -23,6 +23,9 @@ _CONV_COEF = 3.0 / 160.0  # (K*K)(d) = coef * (32 - 40 d^2 + 20 d^3 - d^5)
 # Fewest sorted samples that share one anchor of the gap-power expansions.
 _MIN_BLOCK = 2048
 
+# Default KDE evaluation grid, as (lo, hi, points) of ``np.linspace``.
+DEFAULT_KDE_GRID = (-4.0, 4.0, 201)
+
 
 def epanechnikov_kde(samples: NDArray, bandwidth: float, grid: NDArray) -> NDArray:
     """Evaluate the Epanechnikov kernel density estimate on a grid.
@@ -208,14 +211,14 @@ def summarize(
 ) -> GofReport:
     """Cross-validated KDE plus distance and moment summaries.
 
-    Defaults: KDE grid of 201 points on [-4, 4] and the standard
-    log-spaced bandwidth candidates.
+    Defaults: KDE grid :data:`DEFAULT_KDE_GRID` (201 points on [-4, 4])
+    and the standard log-spaced bandwidth candidates.
     """
     samples = np.asarray(samples, dtype=float).reshape(-1)
     if samples.size < 2:
         raise InvalidInputError("need at least two samples to summarize")
     if kde_grid is None:
-        kde_grid = np.linspace(-4.0, 4.0, 201)
+        kde_grid = np.linspace(*DEFAULT_KDE_GRID)
     if bandwidth_grid is None:
         bandwidth_grid = default_bandwidth_grid(samples)
     bandwidth_grid = np.asarray(bandwidth_grid, dtype=float)

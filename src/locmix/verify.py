@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from .asymptotics import asymptotic_params, sigma2_nu, sigma2_tilde_nu
+from .asymptotics import limit_moments
 from .density import _LOG_2PI, _chol_logdet, build_workspace, log_density, mvn_orthant_cdf
 from .distributions import (
     GeneralizedAsymmetricLaplace,
@@ -27,7 +27,6 @@ from .distributions import (
     sample_noncentral_chi_squared,
     sample_noncentral_f,
     sample_nu,
-    sample_std_normal_vec,
 )
 from .errors import InvalidDimensionError, UnsupportedMixingError
 from .harness import BLOCK_SIZE, default_nu, generate_paper_model
@@ -194,7 +193,7 @@ def _moment_checks(seed: int) -> list[CheckResult]:
     results = []
     n_big = 100_000
 
-    draws = sample_std_normal_vec(n_big, RngStream(seed, 1 * _STRIDE))
+    draws = RngStream(seed, 1 * _STRIDE).generator.standard_normal(n_big)
     results.append(_check("std-normal mean (dim=1)", abs(draws.mean()), 0.02))
 
     draws = sample_chi_squared(100, RngStream(seed, 2 * _STRIDE), n_big)
@@ -360,8 +359,9 @@ def conditional_variance_cov(
         n_reps, seed, 14 * _STRIDE, sample_cov_product, model, l, n,
         fixed_nu=nu_fix, cache=cache,
     )
-    params = asymptotic_params(model, l, c, nu_fix, ProductKind.COV_TIMES_MEAN, cache=cache)
-    center, target = params.center, params.variance
+    center, target = limit_moments(
+        model, l, c, nu_fix, ProductKind.COV_TIMES_MEAN, cache=cache
+    )
     observed = np.var(np.sqrt(n) * (vals - center), ddof=1)
     se_mean = vals.std(ddof=1) / math.sqrt(n_reps)
     return [
@@ -398,10 +398,9 @@ def conditional_variance_precision(
         n_reps, seed, 15 * _STRIDE, sample_precision_product, model, l, n,
         fixed_nu=nu_fix, cache=cache,
     )
-    params = asymptotic_params(
+    center_asym, target = limit_moments(
         model, l, c, nu_fix, ProductKind.PRECISION_TIMES_MEAN, cache=cache
     )
-    center_asym, target = params.center, params.variance
     # l'Sigma^{-1}mu_nu recovered from the asymptotic centre a / (1 - c).
     center_exact = (n - 1) / (n - p - 2) * center_asym * (1.0 - c)
     observed = np.var(np.sqrt(n) * (vals - center_asym), ddof=1)
@@ -461,8 +460,9 @@ def _variance_regularity_checks(seed: int) -> list[CheckResult]:
     results = []
     model, l = _dense_test_model(6, 2, seed + 61, "tn")
     nu_val = nu_mean(model.nu)
-    s0 = sigma2_nu(model, l, 0.0, nu_val)
-    s_small = sigma2_nu(model, l, 1e-12, nu_val)
+    cov, precision = ProductKind.COV_TIMES_MEAN, ProductKind.PRECISION_TIMES_MEAN
+    _, s0 = limit_moments(model, l, 0.0, nu_val, cov)
+    _, s_small = limit_moments(model, l, 1e-12, nu_val, cov)
     results.append(
         _check("sigma2 continuity at c=0 (rel)", abs(s_small - s0) / s0, 1e-9)
     )
@@ -474,13 +474,13 @@ def _variance_regularity_checks(seed: int) -> list[CheckResult]:
     results.append(
         _check("sigma2 at c=0 equals classical form (rel)", abs(s0 - classical) / s0, 1e-12)
     )
-    t0 = sigma2_tilde_nu(model, l, 0.0, nu_val)
-    t_small = sigma2_tilde_nu(model, l, 1e-12, nu_val)
+    _, t0 = limit_moments(model, l, 0.0, nu_val, precision)
+    _, t_small = limit_moments(model, l, 1e-12, nu_val, precision)
     results.append(
         _check("sigma2_tilde continuity at c=0 (rel)", abs(t_small - t0) / t0, 1e-9)
     )
     grid = np.linspace(0.0, 0.98, 50)
-    tilde = [sigma2_tilde_nu(model, l, c, nu_val) for c in grid]
+    tilde = [limit_moments(model, l, c, nu_val, precision)[1] for c in grid]
     monotone = all(b > a for a, b in zip(tilde, tilde[1:]))
     results.append(
         _check("sigma2_tilde strictly increasing in c", 0.0 if monotone else 1.0, 0.0)

@@ -6,13 +6,11 @@ from locmix import (
     ModelSpec,
     ProductKind,
     RngStream,
-    asymptotic_params,
-    corollary_params,
+    limit_moments,
+    nu_mean,
     precompute_quadratics,
     sample_cov_product,
     sample_nu,
-    sigma2_nu,
-    sigma2_tilde_nu,
     standardize,
 )
 from locmix.errors import InvalidInputError, RegimeError, ZeroVectorError
@@ -20,6 +18,8 @@ from locmix.kde import ks_statistic
 from locmix.verify import variance_form_identity
 
 from conftest import make_dense_model
+
+COV, PRECISION = ProductKind.COV_TIMES_MEAN, ProductKind.PRECISION_TIMES_MEAN
 
 
 def _plain_model(p):
@@ -32,8 +32,8 @@ def test_sigma2_identity_case():
     model = _plain_model(3)
     l = np.array([1.0, 0.0, 0.0])
     # mu = 0, B = 0, Sigma = I: variance is 1 + c.
-    assert sigma2_nu(model, l, 0.5, np.zeros(1)) == pytest.approx(1.5)
-    assert sigma2_nu(model, l, 0.0, np.zeros(1)) == pytest.approx(1.0)
+    assert limit_moments(model, l, 0.5, np.zeros(1), COV)[1] == pytest.approx(1.5)
+    assert limit_moments(model, l, 0.0, np.zeros(1), COV)[1] == pytest.approx(1.0)
 
 
 def test_sigma2_hand_value():
@@ -43,21 +43,21 @@ def test_sigma2_hand_value():
         b=np.zeros((2, 1)),
         nu=Degenerate(np.zeros(1)),
     )
-    val = sigma2_nu(model, np.array([1.0, 0.0]), 0.1, np.zeros(1))
+    _, val = limit_moments(model, np.array([1.0, 0.0]), 0.1, np.zeros(1), COV)
     assert val == pytest.approx(3.85)
 
 
 def test_sigma2_rejects_negative_c():
     model = _plain_model(2)
     with pytest.raises(RegimeError):
-        sigma2_nu(model, np.ones(2), -0.1, np.zeros(1))
+        limit_moments(model, np.ones(2), -0.1, np.zeros(1), COV)
 
 
 def test_sigma2_tilde_collapse_and_hand_value():
     model = _plain_model(4)
     l = np.array([1.0, 2.0, 0.0, -1.0])
     c = 0.4
-    assert sigma2_tilde_nu(model, l, c, np.zeros(1)) == pytest.approx(
+    assert limit_moments(model, l, c, np.zeros(1), PRECISION)[1] == pytest.approx(
         np.dot(l, l) / (1 - c) ** 3
     )
     hand = ModelSpec(
@@ -66,15 +66,16 @@ def test_sigma2_tilde_collapse_and_hand_value():
         b=np.zeros((2, 1)),
         nu=Degenerate(np.zeros(1)),
     )
-    assert sigma2_tilde_nu(hand, np.array([1.0, 0.0]), 0.0, np.zeros(1)) == pytest.approx(4.0)
+    _, val = limit_moments(hand, np.array([1.0, 0.0]), 0.0, np.zeros(1), PRECISION)
+    assert val == pytest.approx(4.0)
 
 
 def test_sigma2_tilde_regime_and_zero_vector():
     model = _plain_model(2)
     with pytest.raises(RegimeError):
-        sigma2_tilde_nu(model, np.ones(2), 1.0, np.zeros(1))
+        limit_moments(model, np.ones(2), 1.0, np.zeros(1), PRECISION)
     with pytest.raises(ZeroVectorError):
-        sigma2_tilde_nu(model, np.zeros(2), 0.2, np.zeros(1))
+        limit_moments(model, np.zeros(2), 0.2, np.zeros(1), PRECISION)
 
 
 def test_variance_form_identity_thousand_instances():
@@ -85,7 +86,9 @@ def test_variance_form_identity_thousand_instances():
 def test_sigma2_tilde_monotone_in_c():
     model, l = make_dense_model(4, 2, seed=31)
     nu_val = sample_nu(model.nu, RngStream(30, 0))
-    values = [sigma2_tilde_nu(model, l, c, nu_val) for c in np.linspace(0, 0.95, 40)]
+    values = [
+        limit_moments(model, l, c, nu_val, PRECISION)[1] for c in np.linspace(0, 0.95, 40)
+    ]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -93,29 +96,31 @@ def test_variances_strictly_positive_for_nonzero_l():
     for seed in range(20):
         model, l = make_dense_model(4, 2, seed=200 + seed)
         nu_val = sample_nu(model.nu, RngStream(35, seed))
-        assert sigma2_nu(model, l, 0.3, nu_val) > 0
-        assert sigma2_tilde_nu(model, l, 0.3, nu_val) > 0
+        assert limit_moments(model, l, 0.3, nu_val, COV)[1] > 0
+        assert limit_moments(model, l, 0.3, nu_val, PRECISION)[1] > 0
 
 
 def test_corollary_substitution_identities():
     model, l = make_dense_model(4, 2, seed=32)
+    # The corollary is the conditional call at the shift mean, nu_mean(model.nu).
     # omega = 0 reduces to the conditional formula at nu = 0.
-    params = corollary_params(model, l, 0.3, np.zeros(2))
-    assert params.sigma2 == pytest.approx(sigma2_nu(model, l, 0.3, np.zeros(2)))
+    _, sigma2 = limit_moments(model, l, 0.3, nu_mean(Degenerate(np.zeros(2))), COV)
+    assert sigma2 == pytest.approx(limit_moments(model, l, 0.3, np.zeros(2), COV)[1])
     # B = 0 makes the formulas shift-independent.
     zero_b = ModelSpec(mu=model.mu, sigma=model.sigma, b=np.zeros((4, 2)), nu=model.nu)
     for nu_val in (np.zeros(2), np.array([1.0, 3.0])):
-        assert sigma2_nu(zero_b, l, 0.3, nu_val) == pytest.approx(
-            corollary_params(zero_b, l, 0.3, np.zeros(2)).sigma2
+        assert limit_moments(zero_b, l, 0.3, nu_val, COV)[1] == pytest.approx(
+            limit_moments(zero_b, l, 0.3, np.zeros(2), COV)[1]
         )
     # Half-normal mean plugged in matches direct evaluation.
     omega = np.sqrt(2 / np.pi) * np.ones(2)
-    params = corollary_params(model, l, 0.3, omega)
-    assert params.sigma2 == pytest.approx(
-        sigma2_nu(model, l, 0.3, omega), rel=1e-12
+    _, sigma2 = limit_moments(model, l, 0.3, nu_mean(model.nu), COV)
+    _, sigma2_tilde = limit_moments(model, l, 0.3, nu_mean(model.nu), PRECISION)
+    assert sigma2 == pytest.approx(
+        limit_moments(model, l, 0.3, omega, COV)[1], rel=1e-12
     )
-    assert params.sigma2_tilde == pytest.approx(
-        sigma2_tilde_nu(model, l, 0.3, omega), rel=1e-12
+    assert sigma2_tilde == pytest.approx(
+        limit_moments(model, l, 0.3, omega, PRECISION)[1], rel=1e-12
     )
 
 
@@ -123,8 +128,8 @@ def test_standardize_centering_and_scaling():
     model, l = make_dense_model(3, 2, seed=33)
     nu_val = sample_nu(model.nu, RngStream(31, 0))
     n, c = 50, 0.1
-    params = asymptotic_params(model, l, c, nu_val, ProductKind.COV_TIMES_MEAN)
-    values = [params.center, params.center + 2.0 * np.sqrt(params.variance) / np.sqrt(n)]
+    center, variance = limit_moments(model, l, c, nu_val, COV)
+    values = [center, center + 2.0 * np.sqrt(variance) / np.sqrt(n)]
     out = standardize(values, [nu_val, nu_val], model, l, c, n, ProductKind.COV_TIMES_MEAN)
     assert out[0] == pytest.approx(0.0, abs=1e-12)
     assert out[1] == pytest.approx(2.0, rel=1e-12)
@@ -139,8 +144,9 @@ def test_standardize_batch_matches_params_row_by_row(kind):
     n, c = 40, 0.15
     out = standardize(values, nus, model, l, c, n, kind)
     for value, nu_val, z in zip(values, nus, out):
-        params = asymptotic_params(model, l, c, nu_val, kind)
-        expected = np.sqrt(n) * (value - params.center) / np.sqrt(params.variance)
+        center, variance = limit_moments(model, l, c, nu_val, kind)
+        assert np.ndim(center) == np.ndim(variance) == 0
+        expected = np.sqrt(n) * (value - center) / np.sqrt(variance)
         assert abs(z - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
@@ -184,7 +190,7 @@ def test_conditional_variance_reduced():
             for i in range(count)
         ]
     )
-    params = asymptotic_params(model, l, p / n, nu_fix, ProductKind.COV_TIMES_MEAN, cache=cache)
-    center, target = params.center, params.variance
+    center, target = limit_moments(model, l, p / n, nu_fix, COV, cache=cache)
     observed = np.var(np.sqrt(n) * (vals - center), ddof=1)
     assert abs(observed - target) / target < 0.10
+

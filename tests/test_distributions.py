@@ -13,39 +13,26 @@ from locmix import (
     sample_noncentral_chi_squared,
     sample_noncentral_f,
     sample_nu,
-    sample_std_normal_vec,
 )
 from locmix.errors import InvalidDimensionError, InvalidInputError, NotPositiveDefiniteError
 
 
-def test_std_normal_vec_shape_and_finiteness():
-    v = sample_std_normal_vec(3, RngStream(1, 0))
-    assert v.shape == (3,)
-    assert np.all(np.isfinite(v))
-
-
-def test_std_normal_vec_rejects_zero_dim():
-    with pytest.raises(InvalidDimensionError):
-        sample_std_normal_vec(0, RngStream(1, 0))
-
-
 def test_stream_determinism():
-    a = sample_std_normal_vec(5, RngStream(7, 3))
-    b = sample_std_normal_vec(5, RngStream(7, 3))
+    a = RngStream(7, 3).generator.standard_normal(5)
+    b = RngStream(7, 3).generator.standard_normal(5)
     np.testing.assert_array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = sample_std_normal_vec(5, RngStream(7, 3))
-    b = sample_std_normal_vec(5, RngStream(7, 4))
-    c = sample_std_normal_vec(5, RngStream(8, 3))
+    a = RngStream(7, 3).generator.standard_normal(5)
+    b = RngStream(7, 4).generator.standard_normal(5)
+    c = RngStream(8, 3).generator.standard_normal(5)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_std_normal_mean_small():
-    rng = RngStream(11, 0)
-    draws = np.array([sample_std_normal_vec(1, rng)[0] for _ in range(100_000)])
+    draws = RngStream(11, 0).generator.standard_normal(100_000)
     assert abs(draws.mean()) < 0.02
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -79,15 +81,22 @@ def test_run_experiment_deterministic():
 
 
 def test_run_experiment_thread_invariance():
-    # Several blocks and a partial last one, split over 3 workers.
+    # Several blocks and a partial last one, split over 3 threads that
+    # share one model and cache; a short switch interval makes them interleave.
     cfg = small_config(n_reps=2 * BLOCK_SIZE + 17)
     serial = run_experiment(cfg, threads=1)
-    parallel = run_experiment(cfg, threads=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run_experiment(cfg, threads=3)
+    finally:
+        sys.setswitchinterval(interval)
     assert serial.shape == (cfg.n_reps,)
     np.testing.assert_array_equal(serial, parallel)
 
 
-def test_run_experiment_builds_model_once(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 3])
+def test_run_experiment_builds_model_once(monkeypatch, threads):
     calls = []
 
     def counting(*args, **kwargs):
@@ -95,7 +104,7 @@ def test_run_experiment_builds_model_once(monkeypatch):
         return generate_paper_model(*args, **kwargs)
 
     monkeypatch.setattr(harness, "generate_paper_model", counting)
-    run_experiment(small_config(n_reps=BLOCK_SIZE + 1), threads=1)
+    run_experiment(small_config(n_reps=BLOCK_SIZE + 1), threads=threads)
     assert len(calls) == 1
 
 
