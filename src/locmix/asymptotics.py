@@ -16,7 +16,7 @@ both are evaluated and must agree.
 
 Replacing the random shift by its mean gives the unconditional limits
 used when the shift dimension grows with n: the same formulas, evaluated
-by :func:`limit_moments` at ``nu_mean(model.nu)``.
+by :func:`limit_moments` at ``nu_mean(cache.nu)``.
 """
 
 from __future__ import annotations
@@ -25,31 +25,25 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidInputError, RegimeError, ZeroVectorError
-from .model import ModelSpec
-from .products import ProductKind, QuadraticCache, precompute_quadratics
+from .products import ProductKind, QuadraticCache
+# Not called here: benchmarks/tracer.py looks this name up in this module.
+from .products import precompute_quadratics  # noqa: F401
 
 
 def limit_moments(
-    model: ModelSpec,
-    l: NDArray,
-    c: float,
-    nu: NDArray,
-    kind: ProductKind,
-    *,
-    cache: QuadraticCache | None = None,
+    cache: QuadraticCache, c: float, nu: NDArray, kind: ProductKind
 ) -> tuple[NDArray, NDArray]:
     """(centre, variance) of the chosen product's limit, conditional on the shift.
 
     Takes one shift ``(q,)`` and returns scalars, or shifts ``(N, q)`` and
     returns ``(N,)`` arrays.  The unconditional limits are this call at
-    the shift mean, ``nu_mean(model.nu)``.  Each form costs O(q^2) per
+    the shift mean, ``nu_mean(cache.nu)``.  Each form costs O(q^2) per
     shift (see :class:`QuadraticCache`).  The precision variance is
     evaluated in its delta^2 spelling and, in debug builds, checked
     against the direct spelling, whose ``m`` comes from a factor of its
     own; the two agree to rounding.
     """
     nu = np.asarray(nu, dtype=float)
-    cache = cache if cache is not None else precompute_quadratics(model, l)
     if kind is ProductKind.COV_TIMES_MEAN:
         if c < 0:
             raise RegimeError("c must be >= 0")
@@ -71,15 +65,7 @@ def limit_moments(
 
 
 def standardize(
-    values: NDArray,
-    nus: NDArray,
-    model: ModelSpec,
-    l: NDArray,
-    c: float,
-    n: int,
-    kind: ProductKind,
-    *,
-    cache: QuadraticCache | None = None,
+    values: NDArray, nus: NDArray, cache: QuadraticCache, c: float, n: int, kind: ProductKind
 ) -> NDArray:
     """Centre and scale raw product draws with each draw's own shift.
 
@@ -92,8 +78,7 @@ def standardize(
     if values.size == 0:
         raise InvalidInputError("draws must be nonempty")
     nus = np.asarray(nus, dtype=float).reshape(values.size, -1)
-    cache = cache if cache is not None else precompute_quadratics(model, l)
     if cache.l_is_zero:
         raise ZeroVectorError("standardization is undefined for l = 0 (zero variance)")
-    center, variance = limit_moments(model, l, c, nus, kind, cache=cache)
+    center, variance = limit_moments(cache, c, nus, kind)
     return np.sqrt(n) * (values - center) / np.sqrt(variance)

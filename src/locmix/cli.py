@@ -100,7 +100,7 @@ def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
             "stream (master_seed, b)); its draws cannot be replayed"
         )
     try:
-        cfg = ExperimentConfig(
+        fields = dict(
             p=int(doc["p"]),
             n=int(doc["n"]),
             q=int(doc["q"]),
@@ -117,7 +117,9 @@ def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
         )
     except KeyError as exc:
         raise InvalidInputError(f"manifest config is missing field {exc}") from exc
-    return cfg, bool(doc.get("kde_normal_column", False))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed manifest config: {exc}") from exc
+    return ExperimentConfig(**fields), bool(doc.get("kde_normal_column", False))
 
 
 def _write_outputs(
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="threads that draw the replicates (output is independent of this)",
+        help="threads that draw the replicates, at least 1 (output is independent of this)",
     )
     sim.add_argument(
         "--manifest", default=None, help="re-run the config stored in a manifest file"

@@ -8,7 +8,8 @@ families:
 * :class:`GeneralizedAsymmetricLaplace` — the variance-mean Gamma mixture
   ``nu = m*W + sqrt(W) * L z`` with ``W ~ Gamma(s, 1)`` and ``L L^T`` the
   scale matrix,
-* :class:`Degenerate` — a fixed vector (useful for conditional checks).
+* :class:`Degenerate` — a fixed vector; a model with this law is how the
+  samplers condition on one shift.
 
 The univariate helpers (`chi-squared`, noncentral chi-squared, noncentral F)
 are the building blocks of the exact stochastic representations of the
@@ -128,20 +129,16 @@ class Degenerate:
 NuDistribution = Union[TruncatedNormalAbs, GeneralizedAsymmetricLaplace, Degenerate]
 
 
-def sample_chi_squared(k: int, rng: RngStream, size: int | None = None) -> float | NDArray:
-    """Draw from the chi-squared law with ``k >= 1`` degrees of freedom.
-
-    ``size=None`` draws one float; an integer draws a ``(size,)`` block.
-    """
+def sample_chi_squared(k: int, rng: RngStream, size: int) -> NDArray:
+    """Draw a ``(size,)`` block from the chi-squared law with ``k >= 1`` dof."""
     if k < 1:
         raise InvalidDimensionError("degrees of freedom must be >= 1")
-    draws = rng.generator.chisquare(k, size)
-    return float(draws) if size is None else draws
+    return rng.generator.chisquare(k, size)
 
 
 def sample_noncentral_chi_squared(
-    k: int, lam: float | NDArray, rng: RngStream, size: int | None = None
-) -> float | NDArray:
+    k: int, lam: float | NDArray, rng: RngStream, size: int
+) -> NDArray:
     """Draw from the noncentral chi-squared law ``chi2_k(lam)``.
 
     Uses the exact Poisson mixture ``J ~ Poisson(lam/2)`` followed by a
@@ -156,12 +153,12 @@ def sample_noncentral_chi_squared(
         Nonnegative degrees of freedom.
     lam : float or (size,) ndarray
         Nonnegative noncentrality, shared or one per draw.
-    size : int, optional
-        Number of draws; ``None`` draws one float.
+    size : int
+        Number of draws.
     """
     if k < 0:
         raise InvalidDimensionError("degrees of freedom must be >= 0")
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (1 if size is None else size,))
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (size,))
     if np.any(lam < 0):
         raise ValueError("noncentrality must be >= 0")
     gen = rng.generator
@@ -169,12 +166,12 @@ def sample_noncentral_chi_squared(
     draws = np.zeros(dof.shape)
     positive = dof > 0
     draws[positive] = gen.chisquare(dof[positive])
-    return float(draws[0]) if size is None else draws
+    return draws
 
 
 def sample_noncentral_f(
-    d1: int, d2: int, lam: float | NDArray, rng: RngStream, size: int | None = None
-) -> float | NDArray:
+    d1: int, d2: int, lam: float | NDArray, rng: RngStream, size: int
+) -> NDArray:
     """Draw from the noncentral F law ``F_{d1,d2}(lam)``.
 
     Constructed as ``[chi2_{d1}(lam)/d1] / [chi2_{d2}/d2]`` with independent
@@ -188,29 +185,25 @@ def sample_noncentral_f(
     return num / den
 
 
-def sample_nu(dist: NuDistribution, rng: RngStream, size: int | None = None) -> NDArray:
-    """Draw the location-shift vector ``nu``: ``(q,)``, or a ``(size, q)`` block.
+def sample_nu(dist: NuDistribution, rng: RngStream, size: int) -> NDArray:
+    """Draw a ``(size, q)`` block of location shifts ``nu``.
 
     Draw order is fixed per family (it is part of the reproducibility
     contract): TruncatedNormalAbs consumes a ``(size, q)`` block of
     normals; GeneralizedAsymmetricLaplace consumes ``size`` Gamma variates
     then a ``(size, q)`` block of normals; Degenerate consumes nothing.
-    ``size=None`` is a block of one.
     """
-    count = 1 if size is None else size
     gen = rng.generator
     if isinstance(dist, TruncatedNormalAbs):
-        z = gen.standard_normal((count, dist.q))
-        nus = np.abs(z @ dist._chol.T)
-    elif isinstance(dist, GeneralizedAsymmetricLaplace):
-        w = gen.gamma(dist.s, 1.0, count)[:, None]
-        z = gen.standard_normal((count, dist.q))
-        nus = dist.m * w + np.sqrt(w) * (z @ dist._chol.T)
-    elif isinstance(dist, Degenerate):
-        nus = np.tile(dist.value, (count, 1))
-    else:
-        raise TypeError(f"unknown mixing distribution: {type(dist).__name__}")
-    return nus[0] if size is None else nus
+        z = gen.standard_normal((size, dist.q))
+        return np.abs(z @ dist._chol.T)
+    if isinstance(dist, GeneralizedAsymmetricLaplace):
+        w = gen.gamma(dist.s, 1.0, size)[:, None]
+        z = gen.standard_normal((size, dist.q))
+        return dist.m * w + np.sqrt(w) * (z @ dist._chol.T)
+    if isinstance(dist, Degenerate):
+        return np.tile(dist.value, (size, 1))
+    raise TypeError(f"unknown mixing distribution: {type(dist).__name__}")
 
 
 def nu_mean(dist: NuDistribution) -> NDArray:

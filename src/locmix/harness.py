@@ -56,8 +56,10 @@ class ExperimentConfig:
     """Fully resolved description of one Monte Carlo experiment.
 
     ``c`` must match ``p/n`` up to ``n**-0.5``; the precision product
-    additionally needs ``p < n - 1``.  ``bandwidth_grid=None`` selects the
-    default data-driven candidate grid at scoring time.
+    additionally needs ``p < n - 1``.  ``kde_grid`` is ``(lo, hi, points)``
+    with finite ``lo < hi`` and an integer ``points >= 2``.
+    ``bandwidth_grid=None`` selects the default data-driven candidate grid
+    at scoring time.
     """
 
     p: int
@@ -85,6 +87,18 @@ class ExperimentConfig:
             raise RegimeError("precision product needs p < n - 1")
         if self.nu.q != self.q:
             raise InvalidInputError("mixing law dimension must equal q")
+        grid = self.kde_grid
+        if not (
+            len(grid) == 3
+            and isinstance(grid[2], (int, np.integer))
+            and grid[2] >= 2
+            and np.all(np.isfinite(grid[:2]))
+            and grid[0] < grid[1]
+        ):
+            raise InvalidInputError(
+                "kde_grid must be (lo, hi, points) with finite lo < hi and an "
+                f"integer points >= 2 (got {list(grid)})"
+            )
 
 
 def default_nu(family: str, q: int) -> NuDistribution:
@@ -127,12 +141,7 @@ def generate_paper_model(
 
 
 def _draw_range(
-    cfg: ExperimentConfig,
-    model: ModelSpec,
-    l: NDArray,
-    cache: QuadraticCache,
-    first_block: int,
-    stop_block: int,
+    cfg: ExperimentConfig, cache: QuadraticCache, first_block: int, stop_block: int
 ) -> NDArray:
     """Standardized draws of blocks [first_block, stop_block).
 
@@ -151,30 +160,30 @@ def _draw_range(
         start = block * BLOCK_SIZE - offset
         count = min(BLOCK_SIZE, out.size - start)
         rng = RngStream(cfg.master_seed, block)
-        values, nus = sampler(model, l, cfg.n, rng, cache=cache, size=count)
-        out[start : start + count] = standardize(
-            values, nus, model, l, cfg.c, cfg.n, cfg.product, cache=cache
-        )
+        values, nus = sampler(cache, cfg.n, rng, count)
+        z = standardize(values, nus, cache, cfg.c, cfg.n, cfg.product)
+        out[start : start + count] = z
     return out
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int | None = 1) -> NDArray:
+def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> NDArray:
     """Produce the (n_reps,) standardized sample of one experiment.
 
-    Builds the model and its rotation once.  ``threads`` only controls how
-    contiguous block ranges are spread over threads that share them; the
-    output is identical for every value.
+    Builds the model and its rotation once.  ``threads`` (at least 1) only
+    controls how contiguous block ranges are spread over threads that
+    share them; the output is identical for every value.
     """
+    if threads < 1:
+        raise InvalidInputError(f"threads must be >= 1 (got {threads})")
     model = generate_paper_model(cfg.p, cfg.q, cfg.model_seed, nu=cfg.nu)
-    l = np.ones(cfg.p)
-    cache = precompute_quadratics(model, l)
+    cache = precompute_quadratics(model, np.ones(cfg.p))
     n_blocks = -(-cfg.n_reps // BLOCK_SIZE)
-    n_workers = min(threads or 1, n_blocks)
-    if n_workers <= 1:
-        return _draw_range(cfg, model, l, cache, 0, n_blocks)
+    n_workers = min(threads, n_blocks)
+    if n_workers == 1:
+        return _draw_range(cfg, cache, 0, n_blocks)
     bounds = np.linspace(0, n_blocks, n_workers + 1).astype(int).tolist()
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        draw = partial(_draw_range, cfg, model, l, cache)
+        draw = partial(_draw_range, cfg, cache)
         parts = pool.map(draw, bounds[:-1], bounds[1:])
         return np.concatenate(list(parts))
 

@@ -198,7 +198,7 @@ def sample_data_matrix(
     """
     if n < 2:
         raise InvalidDimensionError("n must be >= 2")
-    nu_value = sample_nu(model.nu, rng)
+    nu_value = sample_nu(model.nu, rng, 1)[0]
     dec = decompose_sigma(model.sigma)
     z = rng.generator.standard_normal((model.p, n))
     x = (model.mu + model.b @ nu_value)[:, None] + dec.sqrt_factor @ z

@@ -15,8 +15,9 @@ the column covariance:
   with noncentrality ``n * delta^2(nu)``.  Requires p < n - 1 (p = 1 uses
   the degenerate branch with no F term).
 
-Both samplers draw a block of replicates per call (``size``) and never
-touch a p x n matrix.  After a one-time rotation, a covariance draw
+Both samplers take the prepared :class:`QuadraticCache` of (model, l),
+draw a block of ``size`` replicates per call, and never touch a p x n
+matrix.  After that one-time rotation, a covariance draw
 costs its p normals and one O(p q) contraction of them, and a precision
 draw costs O(q^2): the shift enters only through forms that
 :class:`QuadraticCache` reduces to (q+1)-vectors and triangular factors.
@@ -68,6 +69,9 @@ class _ShiftForm:
 class QuadraticCache:
     """Eigenbasis rotation of (model, l) plus every scalar form the samplers need.
 
+    The one model argument of the samplers and limits: it also keeps the
+    model's shift law as ``nu``, so a cache built from a model whose law
+    is :class:`~locmix.distributions.Degenerate` conditions on that shift.
     Immutable after construction and safe to share across threads.  With
     ``M = U'[mu, B]`` (p x (q+1)) and ``x = [1, nu]`` the shifted mean is
     ``U'mu_nu = M x``, so each shift form is linear or quadratic in ``x``
@@ -87,6 +91,7 @@ class QuadraticCache:
         l_eig = u_t @ l
         m = np.column_stack([u_t @ model.mu, u_t @ model.b])
         self.p = model.p
+        self.nu = model.nu
         self.eigenvalues = lam
         self.l_sigma_l = float(np.sum(lam * l_eig**2))
         self.l_sigma3_l = float(np.sum(lam**3 * l_eig**2))
@@ -142,101 +147,65 @@ def precompute_quadratics(model: ModelSpec, l: NDArray) -> QuadraticCache:
     return QuadraticCache(model, l)
 
 
-def _shift_block(
-    model: ModelSpec, rng: RngStream, fixed_nu: NDArray | None, count: int
-) -> NDArray:
-    """The ``(count, q)`` shifts of a block: drawn, or ``fixed_nu`` repeated."""
-    if fixed_nu is None:
-        return sample_nu(model.nu, rng, count)
-    return np.tile(np.asarray(fixed_nu, dtype=float).reshape(-1), (count, 1))
-
-
 def sample_cov_product(
-    model: ModelSpec,
-    l: NDArray,
-    n: int,
-    rng: RngStream,
-    fixed_nu: NDArray | None = None,
-    cache: QuadraticCache | None = None,
-    size: int | None = None,
-) -> tuple[float | NDArray, NDArray]:
-    """Draw exact realizations of ``l'S xbar``; returns ``(values, nus)``.
+    cache: QuadraticCache, n: int, rng: RngStream, size: int
+) -> tuple[NDArray, NDArray]:
+    """Draw ``size`` exact realizations of ``l'S xbar``; returns ``(values, nus)``.
 
-    Valid in both the invertible (p <= n-1) and singular (p > n-1)
-    regimes.  ``l = 0`` is allowed and yields 0.  Draw order per stream:
-    the block of shifts (unless ``fixed_nu``), the ``(size, p)`` normals
+    ``values`` is ``(size,)`` and ``nus`` the ``(size, q)`` shifts drawn
+    from ``cache.nu``.  Valid in both the invertible (p <= n-1) and
+    singular (p > n-1) regimes.  ``l = 0`` is allowed and yields 0.  Draw
+    order per stream: the block of shifts, the ``(size, p)`` normals
     behind xbar, ``size`` xi, ``size`` z0.
-
-    Parameters
-    ----------
-    fixed_nu : ndarray, optional
-        Condition on this shift instead of drawing one.
-    cache : QuadraticCache, optional
-        Reuse a precomputed rotation (must match ``model`` and ``l``).
-    size : int, optional
-        Number of draws: ``(size,)`` values and ``(size, q)`` shifts.
-        ``None`` is a block of one returned as ``(float, (q,) shift)``.
     """
     if n < 2:
         raise InvalidDimensionError("n must be >= 2")
-    cache = cache if cache is not None else QuadraticCache(model, l)
-    count = 1 if size is None else size
-    nus = _shift_block(model, rng, fixed_nu, count)
+    nus = sample_nu(cache.nu, rng, size)
     # In the eigenbasis xbar = M x + s z with s = sqrt(Lambda/n), so
     # l'Lambda xbar and xbar'Lambda xbar are the shift forms plus terms in
-    # z @ (s Lambda [l, M]) and sum(Lambda s^2 z^2): the (count, p) mean is
+    # z @ (s Lambda [l, M]) and sum(Lambda s^2 z^2): the (size, p) mean is
     # never built.
     gen = rng.generator
-    z = gen.standard_normal((count, cache.p))
+    z = gen.standard_normal((size, cache.p))
     zw = z @ (np.sqrt(cache.eigenvalues / n)[:, None] * cache.lam_l_m)
     g_mu, quad_mu = cache.cov_forms(nus)
     g = zw[:, 0] + g_mu
     cross = zw[:, 1] + np.einsum("ij,ij->i", zw[:, 2:], nus)
     quad = np.einsum("ij,ij,j->i", z, z, cache.eigenvalues**2 / n) + 2.0 * cross + quad_mu
-    xi = sample_chi_squared(n - 1, rng, count)
-    z0 = gen.standard_normal(count)
+    xi = sample_chi_squared(n - 1, rng, size)
+    z0 = gen.standard_normal(size)
     if cache.p == 1:
         # Cauchy-Schwarz is an equality in dimension one.
-        bracket = np.zeros(count)
+        bracket = np.zeros(size)
     else:
         bracket = np.maximum(quad * cache.l_sigma_l - g * g, 0.0)
     values = xi / (n - 1) * g + np.sqrt(xi) * np.sqrt(bracket) * z0 / (n - 1)
-    return (float(values[0]), nus[0]) if size is None else (values, nus)
+    return values, nus
 
 
 def sample_precision_product(
-    model: ModelSpec,
-    l: NDArray,
-    n: int,
-    rng: RngStream,
-    fixed_nu: NDArray | None = None,
-    cache: QuadraticCache | None = None,
-    size: int | None = None,
-) -> tuple[float | NDArray, NDArray]:
-    """Draw exact realizations of ``l'S^{-1} xbar``; returns ``(values, nus)``.
+    cache: QuadraticCache, n: int, rng: RngStream, size: int
+) -> tuple[NDArray, NDArray]:
+    """Draw ``size`` exact realizations of ``l'S^{-1} xbar``; returns ``(values, nus)``.
 
     Requires ``p < n - 1`` (so that S is invertible with finite inverse
     moments) and a nonzero ``l``.  Draw order per stream: the block of
-    shifts (unless ``fixed_nu``), ``size`` xi_tilde, ``size`` z0, then
-    for p >= 2 the noncentral-F blocks (Poisson, numerator, denominator).
-    ``size`` is as for :func:`sample_cov_product`.
+    shifts, ``size`` xi_tilde, ``size`` z0, then for p >= 2 the
+    noncentral-F blocks (Poisson, numerator, denominator).  Shapes are as
+    for :func:`sample_cov_product`.
     """
+    p = cache.p
     if n < 2:
         raise InvalidDimensionError("n must be >= 2")
-    if model.p >= n - 1:
-        raise RegimeError(
-            f"precision product needs p < n - 1 (got p={model.p}, n={n})"
-        )
-    cache = cache if cache is not None else QuadraticCache(model, l)
-    count = 1 if size is None else size
-    nus = _shift_block(model, rng, fixed_nu, count)
-    p = cache.p
+    if p >= n - 1:
+        raise RegimeError(f"precision product needs p < n - 1 (got p={p}, n={n})")
+    nus = sample_nu(cache.nu, rng, size)
     a, _, delta_sq = cache.precision_forms(nus)
-    xi_tilde = sample_chi_squared(n - p, rng, count)
-    z0 = rng.generator.standard_normal(count)
+    xi_tilde = sample_chi_squared(n - p, rng, size)
+    z0 = rng.generator.standard_normal(size)
     noise_scale = np.sqrt(cache.l_sigmainv_l)
     if p > 1:
-        eta = sample_noncentral_f(p - 1, n - p + 1, n * delta_sq, rng, count)
+        eta = sample_noncentral_f(p - 1, n - p + 1, n * delta_sq, rng, size)
         noise_scale = noise_scale * np.sqrt(1.0 + (p - 1) / (n - p + 1) * eta)
     values = (n - 1) / xi_tilde * (a + noise_scale * z0 / np.sqrt(n))
-    return (float(values[0]), nus[0]) if size is None else (values, nus)
+    return values, nus

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 # Name of the bit generator behind every stream, as recorded in manifests.
 BIT_GENERATOR = np.random.PCG64.__name__
 
@@ -41,7 +43,10 @@ class RngStream:
 
     def __init__(self, master_seed: int, stream_index: int = 0):
         if master_seed < 0 or stream_index < 0:
-            raise ValueError("master_seed and stream_index must be nonnegative")
+            raise InvalidInputError(
+                f"seeds must be nonnegative (got master_seed={master_seed}, "
+                f"stream_index={stream_index})"
+            )
         self.master_seed = int(master_seed)
         self.stream_index = int(stream_index)
         self._generator: np.random.Generator | None = None

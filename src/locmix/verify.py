@@ -10,7 +10,7 @@ acceptance test module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -20,6 +20,7 @@ from scipy.stats import ks_2samp
 from .asymptotics import limit_moments
 from .density import _LOG_2PI, _chol_logdet, build_workspace, log_density, mvn_orthant_cdf
 from .distributions import (
+    Degenerate,
     GeneralizedAsymmetricLaplace,
     TruncatedNormalAbs,
     nu_mean,
@@ -96,14 +97,14 @@ def _dense_test_model(p: int, q: int, seed: int, family: str) -> tuple[ModelSpec
 
 
 def _block_draws(
-    n_draws: int, master_seed: int, first_stream: int, sampler, model, l, n, **kwargs
+    n_draws: int, master_seed: int, first_stream: int, sampler, cache, n: int
 ) -> NDArray:
     """``n_draws`` product values, block b of BLOCK_SIZE on stream ``first_stream + b``."""
     out = np.empty(n_draws)
     for b, start in enumerate(range(0, n_draws, BLOCK_SIZE)):
         count = min(BLOCK_SIZE, n_draws - start)
         rng = RngStream(master_seed, first_stream + b)
-        out[start : start + count] = sampler(model, l, n, rng, size=count, **kwargs)[0]
+        out[start : start + count] = sampler(cache, n, rng, count)[0]
     return out
 
 
@@ -141,9 +142,7 @@ def representation_vs_oracle(
                 ("precision", sample_precision_product),
             ):
                 block += 1
-                rep = _block_draws(
-                    n_draws, seed, block * _STRIDE, sampler, model, l, n, cache=cache
-                )
+                rep = _block_draws(n_draws, seed, block * _STRIDE, sampler, cache, n)
                 block += 1
                 oracle = _oracle_product_draws(
                     model, l, n, seed + 7919, n_draws, product == "precision"
@@ -169,9 +168,7 @@ def singular_regime_vs_oracle(
     for k, family in enumerate(("tn", "gal")):
         model, l = _dense_test_model(p, q, seed + 31 + k, family)
         cache = precompute_quadratics(model, l)
-        rep = _block_draws(
-            n_draws, seed + 1, k * _STRIDE, sample_cov_product, model, l, n, cache=cache
-        )
+        rep = _block_draws(n_draws, seed + 1, k * _STRIDE, sample_cov_product, cache, n)
         oracle = _oracle_product_draws(model, l, n, seed + 104729 + k, n_draws, False)
         ks = ks_2samp(rep, oracle).statistic
         results.append(
@@ -351,17 +348,11 @@ def conditional_variance_cov(
     """Fixed-shift variance (and mean) of the covariance product."""
     q = 10
     model = generate_paper_model(p, q, model_seed=seed, nu=default_nu("tn", q))
-    l = np.ones(p)
-    cache = precompute_quadratics(model, l)
-    nu_fix = sample_nu(model.nu, RngStream(seed + 11, 0))
+    nu_fix = sample_nu(model.nu, RngStream(seed + 11, 0), 1)[0]
+    cache = precompute_quadratics(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
     c = p / n
-    vals = _block_draws(
-        n_reps, seed, 14 * _STRIDE, sample_cov_product, model, l, n,
-        fixed_nu=nu_fix, cache=cache,
-    )
-    center, target = limit_moments(
-        model, l, c, nu_fix, ProductKind.COV_TIMES_MEAN, cache=cache
-    )
+    vals = _block_draws(n_reps, seed, 14 * _STRIDE, sample_cov_product, cache, n)
+    center, target = limit_moments(cache, c, nu_fix, ProductKind.COV_TIMES_MEAN)
     observed = np.var(np.sqrt(n) * (vals - center), ddof=1)
     se_mean = vals.std(ddof=1) / math.sqrt(n_reps)
     return [
@@ -390,17 +381,11 @@ def conditional_variance_precision(
     """
     q = 10
     model = generate_paper_model(p, q, model_seed=seed, nu=default_nu("tn", q))
-    l = np.ones(p)
-    cache = precompute_quadratics(model, l)
-    nu_fix = sample_nu(model.nu, RngStream(seed + 12, 0))
+    nu_fix = sample_nu(model.nu, RngStream(seed + 12, 0), 1)[0]
+    cache = precompute_quadratics(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
     c = p / n
-    vals = _block_draws(
-        n_reps, seed, 15 * _STRIDE, sample_precision_product, model, l, n,
-        fixed_nu=nu_fix, cache=cache,
-    )
-    center_asym, target = limit_moments(
-        model, l, c, nu_fix, ProductKind.PRECISION_TIMES_MEAN, cache=cache
-    )
+    vals = _block_draws(n_reps, seed, 15 * _STRIDE, sample_precision_product, cache, n)
+    center_asym, target = limit_moments(cache, c, nu_fix, ProductKind.PRECISION_TIMES_MEAN)
     # l'Sigma^{-1}mu_nu recovered from the asymptotic centre a / (1 - c).
     center_exact = (n - 1) / (n - p - 2) * center_asym * (1.0 - c)
     observed = np.var(np.sqrt(n) * (vals - center_asym), ddof=1)
@@ -459,10 +444,11 @@ def _variance_regularity_checks(seed: int) -> list[CheckResult]:
     """Continuity at c = 0 and monotonicity in c of the limit variances."""
     results = []
     model, l = _dense_test_model(6, 2, seed + 61, "tn")
+    cache = precompute_quadratics(model, l)
     nu_val = nu_mean(model.nu)
     cov, precision = ProductKind.COV_TIMES_MEAN, ProductKind.PRECISION_TIMES_MEAN
-    _, s0 = limit_moments(model, l, 0.0, nu_val, cov)
-    _, s_small = limit_moments(model, l, 1e-12, nu_val, cov)
+    _, s0 = limit_moments(cache, 0.0, nu_val, cov)
+    _, s_small = limit_moments(cache, 1e-12, nu_val, cov)
     results.append(
         _check("sigma2 continuity at c=0 (rel)", abs(s_small - s0) / s0, 1e-9)
     )
@@ -474,13 +460,13 @@ def _variance_regularity_checks(seed: int) -> list[CheckResult]:
     results.append(
         _check("sigma2 at c=0 equals classical form (rel)", abs(s0 - classical) / s0, 1e-12)
     )
-    _, t0 = limit_moments(model, l, 0.0, nu_val, precision)
-    _, t_small = limit_moments(model, l, 1e-12, nu_val, precision)
+    _, t0 = limit_moments(cache, 0.0, nu_val, precision)
+    _, t_small = limit_moments(cache, 1e-12, nu_val, precision)
     results.append(
         _check("sigma2_tilde continuity at c=0 (rel)", abs(t_small - t0) / t0, 1e-9)
     )
     grid = np.linspace(0.0, 0.98, 50)
-    tilde = [limit_moments(model, l, c, nu_val, precision)[1] for c in grid]
+    tilde = [limit_moments(cache, c, nu_val, precision)[1] for c in grid]
     monotone = all(b > a for a, b in zip(tilde, tilde[1:]))
     results.append(
         _check("sigma2_tilde strictly increasing in c", 0.0 if monotone else 1.0, 0.0)

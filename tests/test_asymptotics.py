@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,18 +24,19 @@ from conftest import make_dense_model
 COV, PRECISION = ProductKind.COV_TIMES_MEAN, ProductKind.PRECISION_TIMES_MEAN
 
 
-def _plain_model(p):
-    return ModelSpec(
+def _plain_cache(l):
+    p = len(l)
+    model = ModelSpec(
         mu=np.zeros(p), sigma=np.eye(p), b=np.zeros((p, 1)), nu=Degenerate(np.zeros(1))
     )
+    return precompute_quadratics(model, l)
 
 
 def test_sigma2_identity_case():
-    model = _plain_model(3)
-    l = np.array([1.0, 0.0, 0.0])
+    cache = _plain_cache(np.array([1.0, 0.0, 0.0]))
     # mu = 0, B = 0, Sigma = I: variance is 1 + c.
-    assert limit_moments(model, l, 0.5, np.zeros(1), COV)[1] == pytest.approx(1.5)
-    assert limit_moments(model, l, 0.0, np.zeros(1), COV)[1] == pytest.approx(1.0)
+    assert limit_moments(cache, 0.5, np.zeros(1), COV)[1] == pytest.approx(1.5)
+    assert limit_moments(cache, 0.0, np.zeros(1), COV)[1] == pytest.approx(1.0)
 
 
 def test_sigma2_hand_value():
@@ -43,21 +46,20 @@ def test_sigma2_hand_value():
         b=np.zeros((2, 1)),
         nu=Degenerate(np.zeros(1)),
     )
-    _, val = limit_moments(model, np.array([1.0, 0.0]), 0.1, np.zeros(1), COV)
+    cache = precompute_quadratics(model, np.array([1.0, 0.0]))
+    _, val = limit_moments(cache, 0.1, np.zeros(1), COV)
     assert val == pytest.approx(3.85)
 
 
 def test_sigma2_rejects_negative_c():
-    model = _plain_model(2)
     with pytest.raises(RegimeError):
-        limit_moments(model, np.ones(2), -0.1, np.zeros(1), COV)
+        limit_moments(_plain_cache(np.ones(2)), -0.1, np.zeros(1), COV)
 
 
 def test_sigma2_tilde_collapse_and_hand_value():
-    model = _plain_model(4)
     l = np.array([1.0, 2.0, 0.0, -1.0])
     c = 0.4
-    assert limit_moments(model, l, c, np.zeros(1), PRECISION)[1] == pytest.approx(
+    assert limit_moments(_plain_cache(l), c, np.zeros(1), PRECISION)[1] == pytest.approx(
         np.dot(l, l) / (1 - c) ** 3
     )
     hand = ModelSpec(
@@ -66,16 +68,16 @@ def test_sigma2_tilde_collapse_and_hand_value():
         b=np.zeros((2, 1)),
         nu=Degenerate(np.zeros(1)),
     )
-    _, val = limit_moments(hand, np.array([1.0, 0.0]), 0.0, np.zeros(1), PRECISION)
+    cache = precompute_quadratics(hand, np.array([1.0, 0.0]))
+    _, val = limit_moments(cache, 0.0, np.zeros(1), PRECISION)
     assert val == pytest.approx(4.0)
 
 
 def test_sigma2_tilde_regime_and_zero_vector():
-    model = _plain_model(2)
     with pytest.raises(RegimeError):
-        limit_moments(model, np.ones(2), 1.0, np.zeros(1), PRECISION)
+        limit_moments(_plain_cache(np.ones(2)), 1.0, np.zeros(1), PRECISION)
     with pytest.raises(ZeroVectorError):
-        limit_moments(model, np.zeros(2), 0.2, np.zeros(1), PRECISION)
+        limit_moments(_plain_cache(np.zeros(2)), 0.2, np.zeros(1), PRECISION)
 
 
 def test_variance_form_identity_thousand_instances():
@@ -84,67 +86,64 @@ def test_variance_form_identity_thousand_instances():
 
 
 def test_sigma2_tilde_monotone_in_c():
-    model, l = make_dense_model(4, 2, seed=31)
-    nu_val = sample_nu(model.nu, RngStream(30, 0))
-    values = [
-        limit_moments(model, l, c, nu_val, PRECISION)[1] for c in np.linspace(0, 0.95, 40)
-    ]
+    cache = precompute_quadratics(*make_dense_model(4, 2, seed=31))
+    nu_val = sample_nu(cache.nu, RngStream(30, 0), 1)[0]
+    values = [limit_moments(cache, c, nu_val, PRECISION)[1] for c in np.linspace(0, 0.95, 40)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_variances_strictly_positive_for_nonzero_l():
     for seed in range(20):
-        model, l = make_dense_model(4, 2, seed=200 + seed)
-        nu_val = sample_nu(model.nu, RngStream(35, seed))
-        assert limit_moments(model, l, 0.3, nu_val, COV)[1] > 0
-        assert limit_moments(model, l, 0.3, nu_val, PRECISION)[1] > 0
+        cache = precompute_quadratics(*make_dense_model(4, 2, seed=200 + seed))
+        nu_val = sample_nu(cache.nu, RngStream(35, seed), 1)[0]
+        assert limit_moments(cache, 0.3, nu_val, COV)[1] > 0
+        assert limit_moments(cache, 0.3, nu_val, PRECISION)[1] > 0
 
 
 def test_corollary_substitution_identities():
     model, l = make_dense_model(4, 2, seed=32)
-    # The corollary is the conditional call at the shift mean, nu_mean(model.nu).
+    cache = precompute_quadratics(model, l)
+    # The corollary is the conditional call at the shift mean, nu_mean(cache.nu).
     # omega = 0 reduces to the conditional formula at nu = 0.
-    _, sigma2 = limit_moments(model, l, 0.3, nu_mean(Degenerate(np.zeros(2))), COV)
-    assert sigma2 == pytest.approx(limit_moments(model, l, 0.3, np.zeros(2), COV)[1])
+    _, sigma2 = limit_moments(cache, 0.3, nu_mean(Degenerate(np.zeros(2))), COV)
+    assert sigma2 == pytest.approx(limit_moments(cache, 0.3, np.zeros(2), COV)[1])
     # B = 0 makes the formulas shift-independent.
-    zero_b = ModelSpec(mu=model.mu, sigma=model.sigma, b=np.zeros((4, 2)), nu=model.nu)
+    zero_b = precompute_quadratics(replace(model, b=np.zeros((4, 2))), l)
     for nu_val in (np.zeros(2), np.array([1.0, 3.0])):
-        assert limit_moments(zero_b, l, 0.3, nu_val, COV)[1] == pytest.approx(
-            limit_moments(zero_b, l, 0.3, np.zeros(2), COV)[1]
+        assert limit_moments(zero_b, 0.3, nu_val, COV)[1] == pytest.approx(
+            limit_moments(zero_b, 0.3, np.zeros(2), COV)[1]
         )
     # Half-normal mean plugged in matches direct evaluation.
     omega = np.sqrt(2 / np.pi) * np.ones(2)
-    _, sigma2 = limit_moments(model, l, 0.3, nu_mean(model.nu), COV)
-    _, sigma2_tilde = limit_moments(model, l, 0.3, nu_mean(model.nu), PRECISION)
-    assert sigma2 == pytest.approx(
-        limit_moments(model, l, 0.3, omega, COV)[1], rel=1e-12
-    )
+    _, sigma2 = limit_moments(cache, 0.3, nu_mean(cache.nu), COV)
+    _, sigma2_tilde = limit_moments(cache, 0.3, nu_mean(cache.nu), PRECISION)
+    assert sigma2 == pytest.approx(limit_moments(cache, 0.3, omega, COV)[1], rel=1e-12)
     assert sigma2_tilde == pytest.approx(
-        limit_moments(model, l, 0.3, omega, PRECISION)[1], rel=1e-12
+        limit_moments(cache, 0.3, omega, PRECISION)[1], rel=1e-12
     )
 
 
 def test_standardize_centering_and_scaling():
-    model, l = make_dense_model(3, 2, seed=33)
-    nu_val = sample_nu(model.nu, RngStream(31, 0))
+    cache = precompute_quadratics(*make_dense_model(3, 2, seed=33))
+    nu_val = sample_nu(cache.nu, RngStream(31, 0), 1)[0]
     n, c = 50, 0.1
-    center, variance = limit_moments(model, l, c, nu_val, COV)
+    center, variance = limit_moments(cache, c, nu_val, COV)
     values = [center, center + 2.0 * np.sqrt(variance) / np.sqrt(n)]
-    out = standardize(values, [nu_val, nu_val], model, l, c, n, ProductKind.COV_TIMES_MEAN)
+    out = standardize(values, [nu_val, nu_val], cache, c, n, ProductKind.COV_TIMES_MEAN)
     assert out[0] == pytest.approx(0.0, abs=1e-12)
     assert out[1] == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(ProductKind))
 def test_standardize_batch_matches_params_row_by_row(kind):
-    model, l = make_dense_model(6, 3, seed=36)
+    cache = precompute_quadratics(*make_dense_model(6, 3, seed=36))
     gen = np.random.default_rng(36)
     nus = np.abs(gen.standard_normal((50, 3)))
     values = gen.uniform(-2.0, 2.0, 50)
     n, c = 40, 0.15
-    out = standardize(values, nus, model, l, c, n, kind)
+    out = standardize(values, nus, cache, c, n, kind)
     for value, nu_val, z in zip(values, nus, out):
-        center, variance = limit_moments(model, l, c, nu_val, kind)
+        center, variance = limit_moments(cache, c, nu_val, kind)
         assert np.ndim(center) == np.ndim(variance) == 0
         expected = np.sqrt(n) * (value - center) / np.sqrt(variance)
         assert abs(z - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -153,11 +152,10 @@ def test_standardize_batch_matches_params_row_by_row(kind):
 def test_standardize_rejects_empty_and_zero_l():
     model, l = make_dense_model(3, 2, seed=34)
     with pytest.raises(InvalidInputError):
-        standardize([], np.empty((0, 2)), model, l, 0.1, 10, ProductKind.COV_TIMES_MEAN)
+        standardize([], np.empty((0, 2)), precompute_quadratics(model, l), 0.1, 10, COV)
     with pytest.raises(ZeroVectorError):
-        standardize(
-            [1.0], np.zeros((1, 2)), model, np.zeros(3), 0.1, 10, ProductKind.COV_TIMES_MEAN
-        )
+        zero_l = precompute_quadratics(model, np.zeros(3))
+        standardize([1.0], np.zeros((1, 2)), zero_l, 0.1, 10, COV)
 
 
 def test_standardized_sample_is_close_to_normal():
@@ -166,12 +164,9 @@ def test_standardized_sample_is_close_to_normal():
 
     p, n, q, count = 50, 500, 10, 20_000
     model = generate_paper_model(p, q, model_seed=0, nu=default_nu("tn", q))
-    l = np.ones(p)
-    cache = precompute_quadratics(model, l)
-    values, nus = zip(
-        *(sample_cov_product(model, l, n, RngStream(32, i), cache=cache) for i in range(count))
-    )
-    out = standardize(values, nus, model, l, p / n, n, ProductKind.COV_TIMES_MEAN, cache=cache)
+    cache = precompute_quadratics(model, np.ones(p))
+    values, nus = sample_cov_product(cache, n, RngStream(32, 0), count)
+    out = standardize(values, nus, cache, p / n, n, ProductKind.COV_TIMES_MEAN)
     assert ks_statistic(out) <= 0.02
 
 
@@ -181,16 +176,10 @@ def test_conditional_variance_reduced():
 
     p, n, count = 50, 500, 20_000
     model = generate_paper_model(p, 10, model_seed=0, nu=default_nu("tn", 10))
-    l = np.ones(p)
-    cache = precompute_quadratics(model, l)
-    nu_fix = sample_nu(model.nu, RngStream(33, 0))
-    vals = np.array(
-        [
-            sample_cov_product(model, l, n, RngStream(34, i), fixed_nu=nu_fix, cache=cache)[0]
-            for i in range(count)
-        ]
-    )
-    center, target = limit_moments(model, l, p / n, nu_fix, COV, cache=cache)
+    nu_fix = sample_nu(model.nu, RngStream(33, 0), 1)[0]
+    cache = precompute_quadratics(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
+    vals, _ = sample_cov_product(cache, n, RngStream(34, 0), count)
+    center, target = limit_moments(cache, p / n, nu_fix, COV)
     observed = np.var(np.sqrt(n) * (vals - center), ddof=1)
     assert abs(observed - target) / target < 0.10
 

@@ -432,3 +432,36 @@ def test_density_far_tail_exit_5_without_infinity(tmp_path, capsys):
     assert code == 5
     assert "Infinity" not in captured.out
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--model-seed", "-3")])
+def test_negative_seed_exit_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    # argparse keeps the last value of a repeated flag.
+    assert run_cli(*simulate_args(out, nreps=200, extra=(flag, value))) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("p", "x"), ("product", "foo"), ("kde_grid", [1, 2]), ("kde_grid", [-4, 4, 201.5])],
+)
+def test_manifest_malformed_field_exit_2(tmp_path, field, value):
+    run_cli(*simulate_args(tmp_path / "a"))
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    manifest["config"][field] = value
+    (tmp_path / "bad.json").write_text(json.dumps(manifest))
+    out = tmp_path / "b"
+    code = run_cli("simulate", "--manifest", str(tmp_path / "bad.json"), "--out", str(out))
+    assert code == 2
+    assert not (out / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exit_2(tmp_path, threads):
+    out = tmp_path / "run"
+    assert run_cli(*simulate_args(out, extra=("--threads", threads))) == 2
+    figure = ("figure", "--figure", "1", "--panel", "a", "--nreps", "200")
+    assert run_cli(*figure, "--out", str(out), "--threads", threads) == 2
+    assert not (out / "samples.csv").exists()

@@ -68,6 +68,15 @@ def test_config_validation():
         small_config(nu=default_nu("tn", 4))
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [(1.0, 2.0), (-4.0, 4.0, 201.5), (4.0, -4.0, 201), (-4.0, 4.0, 1), (-np.inf, 4.0, 201)],
+)
+def test_config_rejects_malformed_kde_grid(grid):
+    with pytest.raises(InvalidInputError):
+        small_config(kde_grid=grid)
+
+
 def test_default_nu_unknown_family():
     with pytest.raises(InvalidInputError):
         default_nu("cauchy", 3)

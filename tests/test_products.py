@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -55,7 +57,7 @@ def test_delta_sq_examples():
 
 def test_delta_sq_matches_dense_projection():
     model, l = make_dense_model(5, 2, seed=21)
-    nu_val = sample_nu(model.nu, RngStream(5, 0))
+    nu_val = sample_nu(model.nu, RngStream(5, 0), 1)[0]
     cache = precompute_quadratics(model, l)
     _, _, delta_sq = cache.precision_forms(nu_val)
     sigma_inv = np.linalg.inv(model.sigma)
@@ -123,11 +125,9 @@ def test_delta_sq_near_parallel_shift(p, q):
 
 def test_cov_product_zero_l_short_circuits():
     model, _ = make_dense_model(4, 2, seed=22)
-    draws = [
-        sample_cov_product(model, np.zeros(4), 10, RngStream(6, i))[0]
-        for i in range(20)
-    ]
-    assert draws == [0.0] * 20
+    cache = precompute_quadratics(model, np.zeros(4))
+    draws, _ = sample_cov_product(cache, 10, RngStream(6, 0), 20)
+    assert draws.tolist() == [0.0] * 20
 
 
 def test_cov_product_p1_has_no_noise_term():
@@ -141,7 +141,7 @@ def test_cov_product_p1_has_no_noise_term():
     )
     l = np.array([1.7])
     n = 9
-    value, _ = sample_cov_product(model, l, n, RngStream(7, 1))
+    (value,), _ = sample_cov_product(precompute_quadratics(model, l), n, RngStream(7, 1), 1)
     gen = RngStream(7, 1).generator
     z = gen.standard_normal(1)
     xbar = 0.4 + 0.3 * 2.0 + np.sqrt(2.5) * z[0] / np.sqrt(n)
@@ -154,40 +154,33 @@ def test_cov_product_p1_has_no_noise_term():
 def test_linearity_exact_ratio():
     model, l = make_dense_model(6, 2, seed=23)
     n = 20
-    for i in range(50):
-        a = sample_cov_product(model, l, n, RngStream(8, i))[0]
-        b = sample_cov_product(model, 2.0 * l, n, RngStream(8, i))[0]
-        assert b == 2.0 * a
-    for i in range(50):
-        a = sample_precision_product(model, l, n, RngStream(9, i))[0]
-        b = sample_precision_product(model, 2.0 * l, n, RngStream(9, i))[0]
-        assert b == 2.0 * a
+    one, two = precompute_quadratics(model, l), precompute_quadratics(model, 2.0 * l)
+    for sampler, seed in ((sample_cov_product, 8), (sample_precision_product, 9)):
+        a, _ = sampler(one, n, RngStream(seed, 0), 50)
+        b, _ = sampler(two, n, RngStream(seed, 0), 50)
+        np.testing.assert_array_equal(b, 2.0 * a)
 
 
-def test_fixed_nu_is_honored():
+def test_degenerate_law_cache_conditions_on_its_shift():
     model, l = make_dense_model(4, 2, seed=24)
     nu_val = np.array([0.5, 1.5])
-    value, nu_used = sample_cov_product(model, l, 15, RngStream(10, 0), fixed_nu=nu_val)
-    np.testing.assert_array_equal(nu_used, nu_val)
-    repeat, _ = sample_cov_product(model, l, 15, RngStream(10, 0), fixed_nu=nu_val)
-    assert value == repeat
-
-
-def test_cache_matches_direct_path():
-    model, l = make_dense_model(5, 2, seed=25)
-    cache = precompute_quadratics(model, l)
-    for i in range(10):
-        direct = sample_cov_product(model, l, 12, RngStream(11, i))[0]
-        cached = sample_cov_product(model, l, 12, RngStream(11, i), cache=cache)[0]
-        assert direct == cached
+    cache = precompute_quadratics(replace(model, nu=Degenerate(nu_val)), l)
+    for sampler in (sample_cov_product, sample_precision_product):
+        values, nus = sampler(cache, 15, RngStream(10, 0), 6)
+        np.testing.assert_array_equal(nus, [nu_val] * 6)
+        repeat, _ = sampler(cache, 15, RngStream(10, 0), 6)
+        np.testing.assert_array_equal(values, repeat)
+        other, _ = sampler(cache, 15, RngStream(10, 1), 6)
+        assert not np.any(values == other)
 
 
 def test_precision_requires_regime_and_nonzero_l():
     model, l = make_dense_model(5, 2, seed=26)
     with pytest.raises(RegimeError):
-        sample_precision_product(model, l, 6, RngStream(12, 0))
+        sample_precision_product(precompute_quadratics(model, l), 6, RngStream(12, 0), 1)
+    zero_l = precompute_quadratics(model, np.zeros(5))
     with pytest.raises(ZeroVectorError):
-        sample_precision_product(model, np.zeros(5), 20, RngStream(12, 0))
+        sample_precision_product(zero_l, 20, RngStream(12, 0), 1)
 
 
 def test_precision_p1_degenerate_branch():
@@ -199,7 +192,8 @@ def test_precision_p1_degenerate_branch():
     )
     l = np.array([1.7])
     n = 12
-    value, _ = sample_precision_product(model, l, n, RngStream(13, 0))
+    cache = precompute_quadratics(model, l)
+    (value,), _ = sample_precision_product(cache, n, RngStream(13, 0), 1)
     gen = RngStream(13, 0).generator
     xi = gen.chisquare(n - 1)
     z0 = gen.standard_normal()
@@ -219,7 +213,8 @@ def test_p1_blocks_replay_documented_draw_order():
     )
     l = np.array([1.7])
     n = 12
-    values, nus = sample_cov_product(model, l, n, RngStream(7, 2), size=3)
+    cache = precompute_quadratics(model, l)
+    values, nus = sample_cov_product(cache, n, RngStream(7, 2), 3)
     gen = RngStream(7, 2).generator
     z = gen.standard_normal((3, 1))[:, 0]
     xi = gen.chisquare(n - 1, 3)
@@ -227,7 +222,7 @@ def test_p1_blocks_replay_documented_draw_order():
     np.testing.assert_allclose(values, xi / (n - 1) * (1.7 * 2.5 * xbar), rtol=1e-14)
     np.testing.assert_array_equal(nus, [[2.0]] * 3)
 
-    values, _ = sample_precision_product(model, l, n, RngStream(13, 2), size=3)
+    values, _ = sample_precision_product(cache, n, RngStream(13, 2), 3)
     gen = RngStream(13, 2).generator
     xi = gen.chisquare(n - 1, 3)
     z0 = gen.standard_normal(3)
@@ -237,24 +232,11 @@ def test_p1_blocks_replay_documented_draw_order():
 
 
 @pytest.mark.parametrize("family", ["tn", "gal"])
-@pytest.mark.parametrize("sampler", [sample_cov_product, sample_precision_product])
-def test_block_of_one_equals_scalar_draw(sampler, family):
-    model, l = make_dense_model(5, 2, seed=30, family=family)
-    for fixed_nu in (None, np.array([0.5, 1.5])):
-        value, nu_val = sampler(model, l, 20, RngStream(31, 4), fixed_nu=fixed_nu)
-        values, nus = sampler(model, l, 20, RngStream(31, 4), fixed_nu=fixed_nu, size=1)
-        assert isinstance(value, float) and nu_val.shape == (2,)
-        assert values.shape == (1,) and nus.shape == (1, 2)
-        assert values[0] == value
-        np.testing.assert_array_equal(nus[0], nu_val)
-
-
-@pytest.mark.parametrize("family", ["tn", "gal"])
 def test_cov_product_matches_oracle(family):
     model, l = make_dense_model(5, 2, seed=27, family=family)
     n, count = 20, 4000
     cache = precompute_quadratics(model, l)
-    rep, _ = sample_cov_product(model, l, n, RngStream(14, 0), cache=cache, size=count)
+    rep, _ = sample_cov_product(cache, n, RngStream(14, 0), count)
     orc = oracle_draws(model, l, n, seed=15, count=count)
     assert ks_2samp(rep, orc).statistic <= 0.04
 
@@ -264,7 +246,7 @@ def test_precision_product_matches_oracle(family):
     model, l = make_dense_model(5, 2, seed=28, family=family)
     n, count = 30, 4000
     cache = precompute_quadratics(model, l)
-    rep, _ = sample_precision_product(model, l, n, RngStream(16, 0), cache=cache, size=count)
+    rep, _ = sample_precision_product(cache, n, RngStream(16, 0), count)
     orc = oracle_draws(model, l, n, seed=17, count=count, precision=True)
     assert ks_2samp(rep, orc).statistic <= 0.04
 
@@ -273,6 +255,6 @@ def test_cov_product_singular_regime_matches_oracle():
     model, l = make_dense_model(15, 2, seed=29)
     n, count = 10, 3000
     cache = precompute_quadratics(model, l)
-    rep, _ = sample_cov_product(model, l, n, RngStream(18, 0), cache=cache, size=count)
+    rep, _ = sample_cov_product(cache, n, RngStream(18, 0), count)
     orc = oracle_draws(model, l, n, seed=19, count=count)
     assert ks_2samp(rep, orc).statistic <= 0.05
