@@ -92,6 +92,16 @@ def _environment() -> dict:
     }
 
 
+def _manifest_int(doc: dict, name: str) -> int:
+    """An integer field of a manifest; ``int`` alone would truncate 10.7."""
+    value = doc[name]
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidInputError(
+            f"manifest field {name!r} must be an integer (got {value!r})"
+        )
+    return int(value)
+
+
 def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
     if doc.get("block_size") != BLOCK_SIZE:
         raise InvalidInputError(
@@ -101,19 +111,19 @@ def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
         )
     try:
         fields = dict(
-            p=int(doc["p"]),
-            n=int(doc["n"]),
-            q=int(doc["q"]),
+            p=_manifest_int(doc, "p"),
+            n=_manifest_int(doc, "n"),
+            q=_manifest_int(doc, "q"),
             c=float(doc["c"]),
-            n_reps=int(doc["n_reps"]),
+            n_reps=_manifest_int(doc, "n_reps"),
             product=ProductKind(doc["product"]),
             nu=parse_nu(doc["nu"]),
-            master_seed=int(doc["master_seed"]),
-            model_seed=int(doc["model_seed"]),
+            master_seed=_manifest_int(doc, "master_seed"),
+            model_seed=_manifest_int(doc, "model_seed"),
             kde_grid=tuple(doc.get("kde_grid", DEFAULT_KDE_GRID)),
             bandwidth_grid=None
             if doc.get("bandwidth_grid") is None
-            else tuple(doc["bandwidth_grid"]),
+            else tuple(map(float, doc["bandwidth_grid"])),
         )
     except KeyError as exc:
         raise InvalidInputError(f"manifest config is missing field {exc}") from exc

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import ndtr, ndtri
 
 from .distributions import TruncatedNormalAbs
 from .errors import (
@@ -58,6 +57,8 @@ def _ordered_cholesky(cov: NDArray, upper: NDArray) -> tuple[NDArray, NDArray]:
     conditional probability mass is pivoted to the front, which reduces
     the variance of the subsequent quasi-Monte Carlo integration.
     """
+    from scipy.special import ndtr
+
     a = np.array(cov, dtype=float)
     b = np.array(upper, dtype=float)
     q = a.shape[0]
@@ -102,6 +103,8 @@ def _sov_integrand(chol: NDArray, upper: NDArray, u: NDArray) -> NDArray:
     ``u`` has shape (m, q-1); returns the m integrand values whose mean
     estimates P(L y <= upper) for standard normal y.
     """
+    from scipy.special import ndtr, ndtri
+
     q = chol.shape[0]
     m = u.shape[0]
     e = np.full(m, ndtr(upper[0] / chol[0, 0]))
@@ -143,7 +146,9 @@ def mvn_orthant_cdf(
         If the point budget is exhausted first; carries the achieved
         standard error.
     """
-    # Imported here: scipy.stats takes most of a second, and sampling never gets here.
+    # Imported here: scipy.stats and scipy.special take most of a second,
+    # and sampling never gets here.
+    from scipy.special import ndtr
     from scipy.stats import qmc
 
     mean = np.asarray(mean, dtype=float).reshape(-1)

@@ -58,8 +58,8 @@ class ExperimentConfig:
     ``c`` must match ``p/n`` up to ``n**-0.5``; the precision product
     additionally needs ``p < n - 1``.  ``kde_grid`` is ``(lo, hi, points)``
     with finite ``lo < hi`` and an integer ``points >= 2``.
-    ``bandwidth_grid=None`` selects the default data-driven candidate grid
-    at scoring time.
+    ``bandwidth_grid`` holds finite positive candidates; ``None`` selects
+    the default data-driven candidate grid at scoring time.
     """
 
     p: int
@@ -99,6 +99,13 @@ class ExperimentConfig:
                 "kde_grid must be (lo, hi, points) with finite lo < hi and an "
                 f"integer points >= 2 (got {list(grid)})"
             )
+        if self.bandwidth_grid is not None:
+            bw = np.asarray(self.bandwidth_grid, dtype=float)
+            if not (bw.ndim == 1 and bw.size and np.all(np.isfinite(bw) & (bw > 0))):
+                raise InvalidInputError(
+                    "bandwidth_grid must be a nonempty list of finite positive "
+                    f"bandwidths (got {list(self.bandwidth_grid)})"
+                )
 
 
 def default_nu(family: str, q: int) -> NuDistribution:

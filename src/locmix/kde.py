@@ -8,11 +8,11 @@ pairwise gaps, so window sums reduce to prefix sums of sample powers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import ndtr
 
 from .errors import InvalidInputError
 
@@ -171,13 +171,16 @@ def ks_statistic(samples: NDArray) -> float:
     """Kolmogorov-Smirnov distance of the sample to the standard normal.
 
     ``sup_x |F_N(x) - Phi(x)|`` evaluated at the sorted sample points,
-    taking both one-sided gaps.
+    taking both one-sided gaps.  ``Phi(x) = erfc(-x / sqrt 2) / 2`` uses the
+    standard library's ``erfc``, so scoring never imports scipy.special,
+    whose import costs a sampling run about 0.3 s.
     """
     samples = np.asarray(samples, dtype=float).reshape(-1)
     if samples.size == 0:
         raise InvalidInputError("samples must be nonempty")
     n = samples.size
-    cdf = ndtr(np.sort(samples))
+    scaled = (np.sort(samples) * -math.sqrt(0.5)).tolist()
+    cdf = 0.5 * np.fromiter(map(math.erfc, scaled), float, n)
     d_plus = np.max(np.arange(1, n + 1) / n - cdf)
     d_minus = np.max(cdf - np.arange(0, n) / n)
     return float(max(d_plus, d_minus))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from locmix import cli
 from locmix.cli import main
 
 
@@ -30,15 +31,14 @@ def simulate_args(out, nreps=500, extra=()):
     ]
 
 
-def test_import_leaves_density_stack_unloaded():
-    # Sampling runs must not pay for scipy.stats or scipy.integrate; only
-    # the orthant probability and the verify oracles import them.
+_DENSITY_STACK = ("scipy.special", "scipy.stats", "scipy.integrate")
+
+
+def _loaded_density_stack(code):
+    """Run ``code`` in a fresh interpreter; return the density-stack modules it loaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, locmix, locmix.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
-    )
+    code += f"; print(sorted(m for m in {_DENSITY_STACK!r} if m in sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -46,7 +46,22 @@ def test_import_leaves_density_stack_unloaded():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_density_stack_unloaded():
+    # Sampling runs must not pay for scipy.special, scipy.stats or
+    # scipy.integrate; only the orthant probability and the verify oracles
+    # import them.
+    assert _loaded_density_stack("import sys, locmix, locmix.cli") == "[]"
+
+
+def test_figure_run_leaves_density_stack_unloaded(tmp_path):
+    argv = ["figure", "--figure", "1", "--panel", "a", "--nreps", "2000"]
+    argv += ["--threads", "1", "--out", str(tmp_path / "run")]
+    code = f"import sys; from locmix.cli import main; assert main({argv!r}) == 0"
+    assert _loaded_density_stack(code) == "[]"
+    assert (tmp_path / "run" / "report.json").exists()
 
 
 def test_simulate_writes_artifacts(tmp_path):
@@ -445,13 +460,34 @@ def test_negative_seed_exit_2(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("p", "x"), ("product", "foo"), ("kde_grid", [1, 2]), ("kde_grid", [-4, 4, 201.5])],
+    [
+        ("p", "x"),
+        ("product", "foo"),
+        ("kde_grid", [1, 2]),
+        ("kde_grid", [-4, 4, 201.5]),
+        ("p", 10.7),
+        ("n", 60.5),
+        ("q", 3.2),
+        ("n_reps", 500.5),
+        ("master_seed", 5.5),
+        ("model_seed", 0.25),
+        ("bandwidth_grid", ["a"]),
+        ("bandwidth_grid", [-1.0, 0.0]),
+        ("bandwidth_grid", []),
+        ("bandwidth_grid", [0.1, float("inf")]),
+    ],
 )
-def test_manifest_malformed_field_exit_2(tmp_path, field, value):
+def test_manifest_malformed_field_exit_2(tmp_path, monkeypatch, field, value):
     run_cli(*simulate_args(tmp_path / "a"))
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     manifest["config"][field] = value
     (tmp_path / "bad.json").write_text(json.dumps(manifest))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("replicates were drawn from a malformed manifest")
+
+    # Rejected before any replicate is drawn.
+    monkeypatch.setattr(cli, "run_experiment", no_draw)
     out = tmp_path / "b"
     code = run_cli("simulate", "--manifest", str(tmp_path / "bad.json"), "--out", str(out))
     assert code == 2

@@ -77,6 +77,12 @@ def test_config_rejects_malformed_kde_grid(grid):
         small_config(kde_grid=grid)
 
 
+@pytest.mark.parametrize("grid", [(), (0.1, -0.2), (0.0,), (0.1, np.nan), (0.1, np.inf)])
+def test_config_rejects_malformed_bandwidth_grid(grid):
+    with pytest.raises(InvalidInputError):
+        small_config(bandwidth_grid=grid)
+
+
 def test_default_nu_unknown_family():
     with pytest.raises(InvalidInputError):
         default_nu("cauchy", 3)

@@ -167,6 +167,46 @@ def test_ks_exact_normal_sample():
     assert ks_statistic(gen.standard_normal(100_000)) <= 0.006
 
 
+def _ks_ndtr_reference(samples):
+    from scipy.special import ndtr
+
+    s = np.sort(np.asarray(samples, dtype=float))
+    n = s.size
+    cdf = ndtr(s)
+    return float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
+
+
+def _tails(gen):
+    # |x| in [30, 40]: Phi underflows to subnormals and 0 below, rounds to 1 above.
+    tail = gen.uniform(30.0, 40.0, size=200)
+    return np.concatenate([-tail[:100], gen.standard_normal(1000), tail[100:]])
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda gen: gen.standard_normal(100_000),
+        lambda gen: gen.standard_t(3, size=100_000),
+        lambda gen: 3.0 + 2.0 * gen.standard_normal(100_000),
+        lambda gen: -0.5 + 0.25 * gen.standard_normal(100_000),
+        lambda gen: np.array([0.7]),
+        lambda gen: np.array([-35.0]),
+        lambda gen: np.array([0.1, -0.2]),
+        lambda gen: np.array([30.0, -38.5]),
+        _tails,
+        lambda gen: gen.uniform(30.0, 40.0, size=50),
+        lambda gen: -gen.uniform(30.0, 40.0, size=50),
+    ],
+    ids=[
+        "normal", "t3", "shift-scale-up", "shift-scale-down", "n1", "n1-tail",
+        "n2", "n2-tails", "tails-and-bulk", "upper-tail", "lower-tail",
+    ],
+)
+def test_ks_matches_ndtr_reference(draw):
+    samples = draw(np.random.default_rng(11))
+    assert ks_statistic(samples) == pytest.approx(_ks_ndtr_reference(samples), rel=0, abs=1e-15)
+
+
 def test_summarize_symmetric_two_point():
     report = summarize(np.array([-1.0, 1.0]), bandwidth_grid=np.array([1.0]))
     assert report.skewness == 0.0
