@@ -190,7 +190,7 @@ def _run_and_write(
 ) -> int:
     t0 = time.perf_counter()
     standardized = run_experiment(cfg, threads=threads)
-    report = summarize_experiment(standardized, cfg)
+    report = summarize_experiment(standardized, cfg, threads=threads)
     duration = time.perf_counter() - t0
     _write_outputs(Path(out), cfg, standardized, report, duration, normal_column)
     return 0
@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="threads that draw the replicates, at least 1 (output is independent of this)",
+        help="threads that draw and score the replicates, at least 1 (output is "
+        "independent of this)",
     )
     sim.add_argument(
         "--manifest", default=None, help="re-run the config stored in a manifest file"
@@ -311,7 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--seed", type=int, default=1, help="master seed")
     fig.add_argument("--model-seed", type=int, default=0)
     fig.add_argument("--out", required=True, help="output directory")
-    fig.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    fig.add_argument(
+        "--threads",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="threads that draw and score the replicates, at least 1",
+    )
     fig.set_defaults(func=_cmd_figure)
 
     ver = sub.add_parser("verify", help="run a statistical verification suite")

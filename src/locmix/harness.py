@@ -18,7 +18,6 @@ draw; the manifest records it.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -34,6 +33,7 @@ from .distributions import (
 from .errors import InvalidInputError, RegimeError
 from .kde import DEFAULT_KDE_GRID, GofReport, summarize
 from .model import ModelSpec
+from .parallel import map_ranges
 from .products import (
     ProductKind,
     QuadraticCache,
@@ -185,19 +185,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> NDArray:
     model = generate_paper_model(cfg.p, cfg.q, cfg.model_seed, nu=cfg.nu)
     cache = precompute_quadratics(model, np.ones(cfg.p))
     n_blocks = -(-cfg.n_reps // BLOCK_SIZE)
-    n_workers = min(threads, n_blocks)
-    if n_workers == 1:
-        return _draw_range(cfg, cache, 0, n_blocks)
-    bounds = np.linspace(0, n_blocks, n_workers + 1).astype(int).tolist()
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        draw = partial(_draw_range, cfg, cache)
-        parts = pool.map(draw, bounds[:-1], bounds[1:])
-        return np.concatenate(list(parts))
+    return map_ranges(partial(_draw_range, cfg, cache), n_blocks, threads)
 
 
-def summarize_experiment(standardized: NDArray, cfg: ExperimentConfig) -> GofReport:
-    """Score a finished experiment with the config's grids."""
+def summarize_experiment(
+    standardized: NDArray, cfg: ExperimentConfig, *, threads: int = 1
+) -> GofReport:
+    """Score a finished experiment with the config's grids on ``threads`` threads."""
     lo, hi, points = cfg.kde_grid
     grid = np.linspace(lo, hi, points)
     bw_grid = None if cfg.bandwidth_grid is None else np.asarray(cfg.bandwidth_grid)
-    return summarize(standardized, kde_grid=grid, bandwidth_grid=bw_grid)
+    return summarize(
+        standardized, kde_grid=grid, bandwidth_grid=bw_grid, threads=threads
+    )

@@ -1,9 +1,14 @@
 """Epanechnikov density estimation, bandwidth cross-validation, and fit scores.
 
 All pairwise kernel sums needed by least-squares cross-validation are
-evaluated in closed form in O(N log N) per bandwidth: for sorted samples
-the Epanechnikov kernel and its self-convolution are polynomials of the
-pairwise gaps, so window sums reduce to prefix sums of sample powers.
+evaluated in closed form: for sorted samples the Epanechnikov kernel and
+its self-convolution are polynomials of the pairwise gaps, so window sums
+reduce to prefix sums of sample powers.  After one sort, each bandwidth
+costs O(N): the window bounds come from a stable merge of the shifted
+sample with the sample (no binary search), and the prefix sums and the
+per-sample polynomials are written in place into buffers allocated once
+per :func:`lscv_scores` call, so a candidate allocates no fresh
+N-sized temporaries beyond its merges.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidInputError
+from .parallel import map_ranges
 
 # Self-convolution of the Epanechnikov kernel: (K*K)(d) for |d| <= 2.
 # Verified against numerical quadrature; integrates to 1 over [-2, 2].
@@ -22,6 +28,18 @@ _CONV_COEF = 3.0 / 160.0  # (K*K)(d) = coef * (32 - 40 d^2 + 20 d^3 - d^5)
 
 # Fewest sorted samples that share one anchor of the gap-power expansions.
 _MIN_BLOCK = 2048
+
+# Samples per in-place pass of the gap polynomials: small enough that a
+# chunk's working arrays stay in cache.
+_CHUNK = 8192
+
+# Most threads that score candidates at once.  Each holds about 13 MB of
+# buffers and merge temporaries at N = 100 000, while the numpy call
+# overhead of the chunked polynomial holds the GIL: on 2 cores, 2 threads
+# scored 1.44 times as fast as 1, which puts the serial share near 40%.
+# By Amdahl's law 4 threads then reach 1.8 times and 8 threads 2.1 times,
+# of at most 2.6 times for any count.
+_MAX_SCORE_THREADS = 4
 
 # Default KDE evaluation grid, as (lo, hi, points) of ``np.linspace``.
 DEFAULT_KDE_GRID = (-4.0, 4.0, 201)
@@ -56,70 +74,185 @@ def epanechnikov_kde(samples: NDArray, bandwidth: float, grid: NDArray) -> NDArr
     return 0.75 / (n * h) * np.maximum(vals, 0.0)
 
 
-def _pairwise_kernel_sums(s: NDArray, h: float) -> tuple[float, float]:
+def _merge_bounds(s: NDArray, keys: NDArray) -> NDArray:
+    """``np.searchsorted(s, keys, side="left")`` for sorted ``keys``, by merge.
+
+    A stable sort of the two sorted runs merges them in linear time.  Keys
+    go first, so each key lands ahead of the samples equal to it, and the
+    samples ahead of key i number its merged position minus i.
+    """
+    m = keys.size
+    order = np.concatenate((keys, s)).argsort(kind="stable")
+    return np.flatnonzero(order < m) - np.arange(m)
+
+
+class _Workspace:
+    """Buffers that one thread reuses for every candidate it scores.
+
+    ``prefix`` row k holds the prefix sums of ``t^k`` over the current
+    block; row 0 counts, exactly, and column 0 is zero.  ``terms`` holds a
+    block's per-sample K and K*K terms, and the chunk buffers hold one
+    chunk's gap powers and window sums.
+    """
+
+    def __init__(self, n: int):
+        self.prefix = np.zeros((6, n + 1))
+        self.prefix[0] = np.arange(n + 1)
+        self.t = np.empty(n)
+        self.terms = np.empty((2, n))
+        chunk = min(_CHUNK, n)
+        self.scratch = np.empty((6, chunk))
+        self.w = np.empty((6, chunk))
+        self.index = np.empty(chunk, dtype=np.intp)
+
+
+def _pairwise_kernel_sums(s: NDArray, h: float, ws: _Workspace) -> tuple[float, float]:
     """(sum_{i<j} K(d_ij/h), sum_{i<j} (K*K)(d_ij/h)) for sorted s.
 
-    For each i the windows over j < i are resolved with binary search and
-    binomial expansions of the gap powers.  The expansions use prefix sums
-    of powers of ``s - a``, with one anchor ``a`` per block of sorted
-    samples, so their rounding error scales with the block's spread rather
-    than with max |s|.  On 100 000 normal samples at h = 0.05 sd N^(-1/5)
-    the score is within 2e-8 relative of a direct pairwise sum, where
-    expanding about zero was off by 7e-3.  A block is at least four windows
-    long, which keeps the extra prefix work under a quarter.
+    For each i the windows over j < i start at ``searchsorted(s, s - h)``
+    and ``searchsorted(s, s - 2h)``, each found by a linear merge, and
+    their sums come from binomial expansions of the gap powers.  The
+    expansions use prefix sums of powers of ``s - a``, with one anchor
+    ``a`` per block of sorted samples, so their rounding error scales with
+    the block's spread rather than with max |s|.  On 100 000 normal samples
+    at h = 0.05 sd N^(-1/5) the score is within 2e-8 relative of a direct
+    pairwise sum, where expanding about zero was off by 7e-3.  A block is
+    at least four windows long, which keeps the extra prefix work under a
+    quarter.
+
+    Apart from the two bound arrays, every array lives in ``ws``.  The
+    polynomials are evaluated in place, in chunks of :data:`_CHUNK` samples
+    that stay in cache, with the operations of the plain expressions in the
+    comments in their left-to-right order: reassociating one, say
+    ``5.0 * x2 * x2 * w[1]`` as ``5.0 * (x2 * x2) * w[1]``, changes bits.
+    Each block's terms are summed by one ``np.sum``, so the chunk size does
+    not change the result.
     """
     n = s.size
     h2 = h * h
-    lo_k = np.searchsorted(s, s - h, side="left")
-    lo_c = np.searchsorted(s, s - 2.0 * h, side="left")
+    h3, h5 = h2 * h, h2 * h2 * h
+    lo_k = _merge_bounds(s, s - h)
+    lo_c = _merge_bounds(s, s - 2.0 * h)
     block = max(_MIN_BLOCK, 4 * int(np.max(np.arange(n) - lo_c)))
     sums_k = sums_conv = 0.0
     for b0 in range(0, n, block):
         b1 = min(b0 + block, n)
-        first = lo_c[b0]
-        t = s[first:b1] - s[(b0 + b1) // 2]
-        # Row k holds the prefix sums of t^k; row 0 counts, exactly.
-        prefix = np.zeros((6, t.size + 1))
-        prefix[0] = np.arange(t.size + 1)
-        power = np.ones_like(t)
+        first = int(lo_c[b0])
+        m = b1 - first
+        t = np.subtract(s[first:b1], s[(b0 + b1) // 2], out=ws.t[:m])
+        prefix = ws.prefix[:, : m + 1]
+        # The K*K term buffer holds the powers until the terms overwrite it.
+        power = ws.terms[1, :m]
+        power.fill(1.0)
         for row in prefix[1:]:
             power *= t
             np.cumsum(power, out=row[1:])
-        x = t[b0 - first :]
-        x2 = x * x
-        below = prefix[:, b0 - first : b1 - first]
+        term_k, term_c = ws.terms[:, : b1 - b0]
+        for c0 in range(b0, b1, _CHUNK):
+            c1 = min(c0 + _CHUNK, b1)
+            c = c1 - c0
+            x = t[c0 - first : c1 - first]
+            below = prefix[:, c0 - first : c1 - first]
+            chunk = slice(c0 - b0, c1 - b0)
+            x2, a, b, d2, d3, d5 = ws.scratch[:, :c]
+            w = ws.w[:, :c]
+            lo = ws.index[:c]
+            np.multiply(x, x, out=x2)
 
-        # K window: gaps below h.
-        lo = lo_k[b0:b1] - first
-        w = [below[k] - prefix[k].take(lo) for k in range(3)]
-        d2 = x2 * w[0] - 2.0 * x * w[1] + w[2]
-        sums_k += 0.75 * float(np.sum(w[0] - d2 / h2))
+            # K window: gaps below h.  w[k] = below[k] - prefix[k][lo].
+            np.subtract(lo_k[c0:c1], first, out=lo)
+            for k in range(3):
+                prefix[k].take(lo, out=w[k], mode="clip")
+                np.subtract(below[k], w[k], out=w[k])
+            # d2 = x2 * w[0] - 2.0 * x * w[1] + w[2]
+            np.multiply(x2, w[0], out=d2)
+            np.multiply(x, 2.0, out=a)
+            a *= w[1]
+            d2 -= a
+            d2 += w[2]
+            # term_k = w[0] - d2 / h2
+            d2 /= h2
+            np.subtract(w[0], d2, out=term_k[chunk])
 
-        # K*K window: gaps below 2h; needs gap powers up to 5.
-        lo = lo_c[b0:b1] - first
-        w = [below[k] - prefix[k].take(lo) for k in range(6)]
-        d2 = x2 * w[0] - 2.0 * x * w[1] + w[2]
-        d3 = x2 * x * w[0] - 3.0 * x2 * w[1] + 3.0 * x * w[2] - w[3]
-        d5 = (
-            x2 * x2 * x * w[0]
-            - 5.0 * x2 * x2 * w[1]
-            + 10.0 * x2 * x * w[2]
-            - 10.0 * x2 * w[3]
-            + 5.0 * x * w[4]
-            - w[5]
-        )
-        sums_conv += _CONV_COEF * float(
-            np.sum(32.0 * w[0] - 40.0 * d2 / h2 + 20.0 * d3 / (h2 * h) - d5 / (h2 * h2 * h))
-        )
+            # K*K window: gaps below 2h; needs gap powers up to 5.
+            np.subtract(lo_c[c0:c1], first, out=lo)
+            for k in range(6):
+                prefix[k].take(lo, out=w[k], mode="clip")
+                np.subtract(below[k], w[k], out=w[k])
+            # d2 = x2 * w[0] - 2.0 * x * w[1] + w[2]
+            np.multiply(x2, w[0], out=d2)
+            np.multiply(x, 2.0, out=a)
+            a *= w[1]
+            d2 -= a
+            d2 += w[2]
+            # d3 = x2 * x * w[0] - 3.0 * x2 * w[1] + 3.0 * x * w[2] - w[3]
+            np.multiply(x2, x, out=d3)
+            d3 *= w[0]
+            np.multiply(x2, 3.0, out=a)
+            a *= w[1]
+            d3 -= a
+            np.multiply(x, 3.0, out=a)
+            a *= w[2]
+            d3 += a
+            d3 -= w[3]
+            # d5 = x2 * x2 * x * w[0] - 5.0 * x2 * x2 * w[1] + 10.0 * x2 * x * w[2]
+            #      - 10.0 * x2 * w[3] + 5.0 * x * w[4] - w[5]
+            np.multiply(x2, x2, out=d5)
+            d5 *= x
+            d5 *= w[0]
+            np.multiply(x2, 5.0, out=a)
+            a *= x2
+            a *= w[1]
+            d5 -= a
+            np.multiply(x2, 10.0, out=b)
+            np.multiply(b, x, out=a)
+            a *= w[2]
+            d5 += a
+            b *= w[3]
+            d5 -= b
+            np.multiply(x, 5.0, out=a)
+            a *= w[4]
+            d5 += a
+            d5 -= w[5]
+            # term_c = 32.0 * w[0] - 40.0 * d2 / h2 + 20.0 * d3 / h3 - d5 / h5
+            out = term_c[chunk]
+            np.multiply(w[0], 32.0, out=out)
+            d2 *= 40.0
+            d2 /= h2
+            out -= d2
+            d3 *= 20.0
+            d3 /= h3
+            out += d3
+            d5 /= h5
+            out -= d5
+        sums_k += 0.75 * float(np.sum(term_k))
+        sums_conv += _CONV_COEF * float(np.sum(term_c))
     return sums_k, sums_conv
 
 
-def lscv_scores(samples: NDArray, bandwidths: NDArray) -> NDArray:
+def _score_range(s: NDArray, bandwidths: NDArray) -> NDArray:
+    """LSCV scores of sorted ``s`` at each bandwidth, with one workspace."""
+    n = s.size
+    ws = _Workspace(n)
+    conv0 = _CONV_COEF * 32.0
+    scores = np.empty(bandwidths.size)
+    for idx, h in enumerate(bandwidths):
+        t_k, t_conv = _pairwise_kernel_sums(s, float(h), ws)
+        int_f2 = (n * conv0 + 2.0 * t_conv) / (n * n * h)
+        loo = 2.0 * t_k / ((n - 1) * h)
+        scores[idx] = int_f2 - 2.0 * loo / n
+    return scores
+
+
+def lscv_scores(samples: NDArray, bandwidths: NDArray, *, threads: int = 1) -> NDArray:
     """Least-squares cross-validation score for each candidate bandwidth.
 
     ``LSCV(h) = int fhat^2 - (2/N) sum_i fhat_{-i}(s_i)``, both terms in
     closed form (``int fhat^2 = (1/(N^2 h)) sum_{i,j} (K*K)(d_ij/h)`` uses
-    the kernel self-convolution) and exact up to rounding.
+    the kernel self-convolution) and exact up to rounding.  Up to
+    ``threads`` (at least 1; at most :data:`_MAX_SCORE_THREADS` are used)
+    threads score contiguous ranges of the candidates, each with buffers
+    of its own; the scores are identical for every value.
     """
     samples = np.asarray(samples, dtype=float).reshape(-1)
     bandwidths = np.asarray(bandwidths, dtype=float).reshape(-1)
@@ -127,27 +260,26 @@ def lscv_scores(samples: NDArray, bandwidths: NDArray) -> NDArray:
         raise InvalidInputError("bandwidth grid must be nonempty")
     if np.any(bandwidths <= 0):
         raise InvalidInputError("bandwidths must be positive")
-    n = samples.size
-    if n < 2:
+    if threads < 1:
+        raise InvalidInputError(f"threads must be >= 1 (got {threads})")
+    if samples.size < 2:
         raise InvalidInputError("cross-validation needs at least two samples")
     s = np.sort(samples)
-    conv0 = _CONV_COEF * 32.0
-    scores = np.empty(bandwidths.size)
-    for idx, h in enumerate(bandwidths):
-        t_k, t_conv = _pairwise_kernel_sums(s, float(h))
-        int_f2 = (n * conv0 + 2.0 * t_conv) / (n * n * h)
-        loo = 2.0 * t_k / ((n - 1) * h)
-        scores[idx] = int_f2 - 2.0 * loo / n
-    return scores
+    return map_ranges(
+        lambda lo, hi: _score_range(s, bandwidths[lo:hi]),
+        bandwidths.size,
+        min(threads, _MAX_SCORE_THREADS),
+    )
 
 
-def lscv_bandwidth(samples: NDArray, grid: NDArray) -> float:
+def lscv_bandwidth(samples: NDArray, grid: NDArray, *, threads: int = 1) -> float:
     """Bandwidth from the candidate grid minimizing the LSCV score.
 
-    Ties resolve to the smallest candidate (first argmin).
+    Ties resolve to the smallest candidate (first argmin).  ``threads`` is
+    passed to :func:`lscv_scores`.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
-    scores = lscv_scores(samples, grid)
+    scores = lscv_scores(samples, grid, threads=threads)
     return float(grid[int(np.argmin(scores))])
 
 
@@ -211,11 +343,13 @@ def summarize(
     *,
     kde_grid: NDArray | None = None,
     bandwidth_grid: NDArray | None = None,
+    threads: int = 1,
 ) -> GofReport:
     """Cross-validated KDE plus distance and moment summaries.
 
     Defaults: KDE grid :data:`DEFAULT_KDE_GRID` (201 points on [-4, 4])
-    and the standard log-spaced bandwidth candidates.
+    and the standard log-spaced bandwidth candidates.  ``threads`` threads
+    score the candidates; the report is identical for every value.
     """
     samples = np.asarray(samples, dtype=float).reshape(-1)
     if samples.size < 2:
@@ -225,7 +359,7 @@ def summarize(
     if bandwidth_grid is None:
         bandwidth_grid = default_bandwidth_grid(samples)
     bandwidth_grid = np.asarray(bandwidth_grid, dtype=float)
-    bandwidth = lscv_bandwidth(samples, bandwidth_grid)
+    bandwidth = lscv_bandwidth(samples, bandwidth_grid, threads=threads)
     density = epanechnikov_kde(samples, bandwidth, kde_grid)
     mean = float(np.mean(samples))
     centered = samples - mean

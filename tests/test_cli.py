@@ -114,6 +114,8 @@ def test_simulate_byte_identical_and_thread_independent(tmp_path):
     args[args.index("--threads") + 1] = "2"
     run_cli(*args)
     assert (out1 / "samples.csv").read_bytes() == (out3 / "samples.csv").read_bytes()
+    # --threads also scores the bandwidth candidates.
+    assert (out1 / "kde.csv").read_bytes() == (out3 / "kde.csv").read_bytes()
 
 
 def test_manifest_replay(tmp_path):

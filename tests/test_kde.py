@@ -1,8 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
+from locmix import kde
 from locmix.errors import InvalidInputError
 from locmix.kde import (
+    _merge_bounds,
     default_bandwidth_grid,
     epanechnikov_kde,
     ks_statistic,
@@ -146,11 +150,95 @@ def test_lscv_accurate_across_default_grid(draw, rel_tol):
         assert abs(score - direct) <= rel_tol * abs(direct)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lscv_accurate_on_tied_samples(seed):
+    # Rounding to 0.01 leaves about 40 copies of each central value, so many
+    # gaps are exactly zero and many windows end on a run of ties.
+    samples = np.round(np.random.default_rng(seed).standard_normal(5_000), 2)
+    grid = default_bandwidth_grid(samples)[[0, 7, 14, 21, 29]]
+    scores = lscv_scores(samples, grid)
+    for h, score in zip(grid, scores):
+        direct = _direct_lscv(samples, h)
+        assert abs(score - direct) <= 2e-9 * abs(direct)
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+def test_lscv_two_point_sample_on_window_edges(h):
+    # The one nonzero gap, 1, lies exactly on the K*K edge at h = 0.5 and on
+    # the K edge at h = 1; both windows include their edge.
+    samples = np.concatenate([np.zeros(3_000), np.ones(2_000)])
+    score = lscv_scores(samples, [h])[0]
+    direct = _direct_lscv(samples, h)
+    assert abs(score - direct) <= 1e-12 * abs(direct)
+
+
+@pytest.mark.parametrize(
+    "s, keys",
+    [
+        (np.sort(np.round(np.random.default_rng(0).standard_normal(3_000), 2)),) * 2,
+        (np.array([-0.0, -0.0, 0.0, 0.0, 1.0]), np.array([-0.0, 0.0, 0.0, 1.0, 1.0])),
+        (np.array([0.0, 0.0, -0.0, 2.0]), np.array([-1.0, -0.0, 0.0, 0.0])),
+        (np.arange(10.0), np.linspace(-30.0, -20.0, 10)),
+        (np.arange(10.0), np.linspace(20.0, 30.0, 10)),
+        (np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+        (np.array([-1.0, 3.0]), np.array([-4.0, 3.0])),
+    ],
+    ids=["ties", "signed-zeros", "zeros-against-zeros", "all-below", "all-above",
+         "n2-tied", "n2"],
+)
+def test_merge_bounds_is_searchsorted_left(s, keys):
+    # Ties go left (a key lands ahead of equal samples), and -0.0 == 0.0.
+    expected = np.searchsorted(s, keys, side="left")
+    np.testing.assert_array_equal(_merge_bounds(s, keys), expected)
+
+
+def test_merge_bounds_on_shifted_ties():
+    # The keys LSCV merges: the tied sample shifted by a bandwidth.
+    s = np.sort(np.round(np.random.default_rng(1).standard_normal(3_000), 2))
+    for shift in (0.0, 0.01, 0.3, 0.25, 7.0):
+        keys = s - shift
+        expected = np.searchsorted(s, keys, side="left")
+        np.testing.assert_array_equal(_merge_bounds(s, keys), expected)
+
+
+def test_lscv_thread_invariance():
+    # Contiguous candidate ranges on 3 threads, each with its own buffers,
+    # while the interpreter switches threads as often as it can.
+    samples = np.random.default_rng(12).standard_t(5, 20_000)
+    grid = default_bandwidth_grid(samples)
+    serial = lscv_scores(samples, grid, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = lscv_scores(samples, grid, threads=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(serial, parallel)
+    assert lscv_bandwidth(samples, grid, threads=3) == lscv_bandwidth(samples, grid)
+
+
+def test_lscv_threads_capped(monkeypatch):
+    # More threads than the cap score in at most _MAX_SCORE_THREADS ranges.
+    ranges = []
+    score_range = kde._score_range
+    monkeypatch.setattr(
+        kde, "_score_range", lambda s, hs: ranges.append(hs.size) or score_range(s, hs)
+    )
+    samples = np.random.default_rng(13).standard_normal(3_000)
+    grid = default_bandwidth_grid(samples)
+    scores = lscv_scores(samples, grid, threads=8)
+    assert len(ranges) == kde._MAX_SCORE_THREADS and sum(ranges) == grid.size
+    monkeypatch.undo()
+    assert np.array_equal(scores, lscv_scores(samples, grid))
+
+
 def test_lscv_validates_inputs():
     with pytest.raises(InvalidInputError):
         lscv_bandwidth(np.array([1.0, 2.0]), np.array([]))
     with pytest.raises(InvalidInputError):
         lscv_bandwidth(np.array([1.0]), np.array([0.5]))
+    with pytest.raises(InvalidInputError):
+        lscv_scores(np.array([1.0, 2.0]), np.array([0.5]), threads=0)
 
 
 def test_ks_hand_values():
