@@ -48,7 +48,6 @@ from .model import (
     SampleMoments,
     SigmaDecomposition,
     decompose_sigma,
-    mu_nu,
     sample_data_matrix,
     sample_mean_and_cov,
     verify_assumptions,

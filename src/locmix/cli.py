@@ -199,6 +199,10 @@ def _run_and_write(
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.manifest is not None:
         doc = json.loads(Path(args.manifest).read_text())
+        if not isinstance(doc, dict) or not all(
+            isinstance(doc.get(key, {}), dict) for key in ("config", "environment")
+        ):
+            raise InvalidInputError("manifest, config and environment must be JSON objects")
         cfg, normal_column = _config_from_json(doc["config"])
         written_with = doc.get("environment", {}).get("numpy")
         if written_with != np.__version__:
@@ -280,44 +284,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"locmix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one experiment and write its artifacts")
-    sim.add_argument("--p", type=int, help="dimension")
-    sim.add_argument("--n", type=int, help="sample size")
-    sim.add_argument("--q", type=int, default=10, help="shift dimension (default 10)")
-    sim.add_argument("--c", type=float, default=None, help="aspect ratio (default p/n)")
-    sim.add_argument("--nreps", type=int, default=100_000, help="Monte Carlo replicates")
-    sim.add_argument("--product", choices=["cov", "precision"], default="cov")
-    sim.add_argument("--nu", choices=["tn", "gal"], default="tn", help="mixing family")
-    sim.add_argument("--seed", type=int, help="master seed for the replicates")
-    sim.add_argument(
+    # Options shared by the two commands that run an experiment.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--nreps", type=int, default=100_000, help="Monte Carlo replicates")
+    run.add_argument(
         "--model-seed", type=int, default=0, help="seed of the random model (default 0)"
     )
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument(
+    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument(
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
         help="threads that draw and score the replicates, at least 1 (output is "
         "independent of this)",
     )
+
+    sim = sub.add_parser(
+        "simulate", parents=[run], help="run one experiment and write its artifacts"
+    )
+    sim.add_argument("--p", type=int, help="dimension")
+    sim.add_argument("--n", type=int, help="sample size")
+    sim.add_argument("--q", type=int, default=10, help="shift dimension (default 10)")
+    sim.add_argument("--c", type=float, default=None, help="aspect ratio (default p/n)")
+    sim.add_argument("--product", choices=["cov", "precision"], default="cov")
+    sim.add_argument("--nu", choices=["tn", "gal"], default="tn", help="mixing family")
+    sim.add_argument("--seed", type=int, help="master seed for the replicates")
     sim.add_argument(
         "--manifest", default=None, help="re-run the config stored in a manifest file"
     )
     sim.set_defaults(func=_cmd_simulate)
 
-    fig = sub.add_parser("figure", help="reproduce one figure panel of the study")
+    fig = sub.add_parser(
+        "figure", parents=[run], help="reproduce one figure panel of the study"
+    )
     fig.add_argument("--figure", type=int, required=True, help="figure number 1..8")
     fig.add_argument("--panel", choices=["a", "b", "c", "d"], required=True)
-    fig.add_argument("--nreps", type=int, default=100_000)
     fig.add_argument("--seed", type=int, default=1, help="master seed")
-    fig.add_argument("--model-seed", type=int, default=0)
-    fig.add_argument("--out", required=True, help="output directory")
-    fig.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="threads that draw and score the replicates, at least 1",
-    )
     fig.set_defaults(func=_cmd_figure)
 
     ver = sub.add_parser("verify", help="run a statistical verification suite")

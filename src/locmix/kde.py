@@ -2,13 +2,13 @@
 
 All pairwise kernel sums needed by least-squares cross-validation are
 evaluated in closed form: for sorted samples the Epanechnikov kernel and
-its self-convolution are polynomials of the pairwise gaps, so window sums
-reduce to prefix sums of sample powers.  After one sort, each bandwidth
-costs O(N): the window bounds come from a stable merge of the shifted
-sample with the sample (no binary search), and the prefix sums and the
-per-sample polynomials are written in place into buffers allocated once
-per :func:`lscv_scores` call, so a candidate allocates no fresh
-N-sized temporaries beyond its merges.
+its self-convolution are polynomials of the pairwise gaps, each written
+once as a row of coefficients, so window sums reduce to prefix sums of
+sample powers contracted with one Taylor matrix per kernel.  After one
+sort, each bandwidth costs O(N): the window bounds come from a stable
+merge of the shifted sample with the sample (no binary search), and the
+prefix sums and chunk products go into buffers allocated once per
+:func:`lscv_scores` call.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ _CONV_COEF = 3.0 / 160.0  # (K*K)(d) = coef * (32 - 40 d^2 + 20 d^3 - d^5)
 # Fewest sorted samples that share one anchor of the gap-power expansions.
 _MIN_BLOCK = 2048
 
-# Samples per in-place pass of the gap polynomials: small enough that a
-# chunk's working arrays stay in cache.
+# Samples per pass of the Taylor contractions: small enough that a chunk's
+# working arrays stay in cache.
 _CHUNK = 8192
 
-# Most threads that score candidates at once.  Each holds about 13 MB of
+# Most threads that score candidates at once.  Each holds about 12 MB of
 # buffers and merge temporaries at N = 100 000, while the numpy call
-# overhead of the chunked polynomial holds the GIL: on 2 cores, 2 threads
+# overhead of the chunked contractions holds the GIL: on 2 cores, 2 threads
 # scored 1.44 times as fast as 1, which puts the serial share near 40%.
 # By Amdahl's law 4 threads then reach 1.8 times and 8 threads 2.1 times,
 # of at most 2.6 times for any count.
@@ -43,6 +43,9 @@ _MAX_SCORE_THREADS = 4
 
 # Default KDE evaluation grid, as (lo, hi, points) of ``np.linspace``.
 DEFAULT_KDE_GRID = (-4.0, 4.0, 201)
+
+# Number of log-spaced candidates in the default bandwidth grid.
+_BANDWIDTH_CANDIDATES = 30
 
 
 def epanechnikov_kde(samples: NDArray, bandwidth: float, grid: NDArray) -> NDArray:
@@ -89,145 +92,91 @@ def _merge_bounds(s: NDArray, keys: NDArray) -> NDArray:
 class _Workspace:
     """Buffers that one thread reuses for every candidate it scores.
 
-    ``prefix`` row k holds the prefix sums of ``t^k`` over the current
-    block; row 0 counts, exactly, and column 0 is zero.  ``terms`` holds a
-    block's per-sample K and K*K terms, and the chunk buffers hold one
-    chunk's gap powers and window sums.
+    ``prefix`` row m holds the prefix sums of ``t^m`` over a block, with
+    exact counts in row 0 and zeros in column 0; the rest hold one chunk.
     """
 
     def __init__(self, n: int):
         self.prefix = np.zeros((6, n + 1))
         self.prefix[0] = np.arange(n + 1)
         self.t = np.empty(n)
-        self.terms = np.empty((2, n))
+        self.power = np.empty(n)
         chunk = min(_CHUNK, n)
-        self.scratch = np.empty((6, chunk))
+        self.powers = np.ones((6, chunk))
         self.w = np.empty((6, chunk))
+        self.q = np.empty((6, chunk))
         self.index = np.empty(chunk, dtype=np.intp)
+
+
+def _taylor(coef: tuple[float, ...]) -> NDArray:
+    """Row m: the coefficients in x of ``Q_m(x) = (-1)^m P^(m)(x) / m!``.
+
+    For ``P(d) = sum_k coef[k] d^k`` the binomial expansion of each gap
+    power gives ``sum_j P(x - t_j) = sum_m Q_m(x) sum_j t_j^m``.
+    """
+    deg = len(coef) - 1
+    taylor = np.zeros((deg + 1, deg + 1))
+    for m in range(deg + 1):
+        for e in range(deg + 1 - m):
+            taylor[m, e] = (-1) ** m * math.comb(m + e, m) * coef[m + e]
+    return taylor
 
 
 def _pairwise_kernel_sums(s: NDArray, h: float, ws: _Workspace) -> tuple[float, float]:
     """(sum_{i<j} K(d_ij/h), sum_{i<j} (K*K)(d_ij/h)) for sorted s.
 
-    For each i the windows over j < i start at ``searchsorted(s, s - h)``
-    and ``searchsorted(s, s - 2h)``, each found by a linear merge, and
-    their sums come from binomial expansions of the gap powers.  The
-    expansions use prefix sums of powers of ``s - a``, with one anchor
-    ``a`` per block of sorted samples, so their rounding error scales with
-    the block's spread rather than with max |s|.  On 100 000 normal samples
-    at h = 0.05 sd N^(-1/5) the score is within 2e-8 relative of a direct
+    Each kernel is a polynomial in the gap ``d = x - t`` to a smaller
+    sample ``t``, on a window of gaps up to h (K) or 2h (K*K) whose start
+    is found by a linear merge.  Its window sum at ``x`` contracts the
+    kernel's :func:`_taylor` matrix with the powers of ``x`` and the
+    window sums of powers of ``t``, which are differences of prefix sums.
+    Those are prefix sums of powers of ``s - a``, with one anchor ``a`` per
+    block of sorted samples, so their rounding error scales with the
+    block's spread rather than with max |s|.  On 100 000 normal samples at
+    h = 0.05 sd N^(-1/5) the score is within 2e-8 relative of a direct
     pairwise sum, where expanding about zero was off by 7e-3.  A block is
     at least four windows long, which keeps the extra prefix work under a
-    quarter.
-
-    Apart from the two bound arrays, every array lives in ``ws``.  The
-    polynomials are evaluated in place, in chunks of :data:`_CHUNK` samples
-    that stay in cache, with the operations of the plain expressions in the
-    comments in their left-to-right order: reassociating one, say
-    ``5.0 * x2 * x2 * w[1]`` as ``5.0 * (x2 * x2) * w[1]``, changes bits.
-    Each block's terms are summed by one ``np.sum``, so the chunk size does
-    not change the result.
+    quarter; it is evaluated in cache-sized chunks of :data:`_CHUNK`.
     """
     n = s.size
-    h2 = h * h
-    h3, h5 = h2 * h, h2 * h2 * h
     lo_k = _merge_bounds(s, s - h)
     lo_c = _merge_bounds(s, s - 2.0 * h)
+    kernels = (
+        (lo_k, _taylor((1.0, 0.0, -1.0 / h**2))),
+        (lo_c, _taylor((32.0, 0.0, -40.0 / h**2, 20.0 / h**3, 0.0, -1.0 / h**5))),
+    )
     block = max(_MIN_BLOCK, 4 * int(np.max(np.arange(n) - lo_c)))
-    sums_k = sums_conv = 0.0
+    sums = [0.0, 0.0]
     for b0 in range(0, n, block):
         b1 = min(b0 + block, n)
         first = int(lo_c[b0])
         m = b1 - first
         t = np.subtract(s[first:b1], s[(b0 + b1) // 2], out=ws.t[:m])
         prefix = ws.prefix[:, : m + 1]
-        # The K*K term buffer holds the powers until the terms overwrite it.
-        power = ws.terms[1, :m]
+        power = ws.power[:m]
         power.fill(1.0)
         for row in prefix[1:]:
             power *= t
             np.cumsum(power, out=row[1:])
-        term_k, term_c = ws.terms[:, : b1 - b0]
-        for c0 in range(b0, b1, _CHUNK):
-            c1 = min(c0 + _CHUNK, b1)
-            c = c1 - c0
-            x = t[c0 - first : c1 - first]
-            below = prefix[:, c0 - first : c1 - first]
-            chunk = slice(c0 - b0, c1 - b0)
-            x2, a, b, d2, d3, d5 = ws.scratch[:, :c]
-            w = ws.w[:, :c]
-            lo = ws.index[:c]
-            np.multiply(x, x, out=x2)
-
-            # K window: gaps below h.  w[k] = below[k] - prefix[k][lo].
-            np.subtract(lo_k[c0:c1], first, out=lo)
-            for k in range(3):
-                prefix[k].take(lo, out=w[k], mode="clip")
-                np.subtract(below[k], w[k], out=w[k])
-            # d2 = x2 * w[0] - 2.0 * x * w[1] + w[2]
-            np.multiply(x2, w[0], out=d2)
-            np.multiply(x, 2.0, out=a)
-            a *= w[1]
-            d2 -= a
-            d2 += w[2]
-            # term_k = w[0] - d2 / h2
-            d2 /= h2
-            np.subtract(w[0], d2, out=term_k[chunk])
-
-            # K*K window: gaps below 2h; needs gap powers up to 5.
-            np.subtract(lo_c[c0:c1], first, out=lo)
-            for k in range(6):
-                prefix[k].take(lo, out=w[k], mode="clip")
-                np.subtract(below[k], w[k], out=w[k])
-            # d2 = x2 * w[0] - 2.0 * x * w[1] + w[2]
-            np.multiply(x2, w[0], out=d2)
-            np.multiply(x, 2.0, out=a)
-            a *= w[1]
-            d2 -= a
-            d2 += w[2]
-            # d3 = x2 * x * w[0] - 3.0 * x2 * w[1] + 3.0 * x * w[2] - w[3]
-            np.multiply(x2, x, out=d3)
-            d3 *= w[0]
-            np.multiply(x2, 3.0, out=a)
-            a *= w[1]
-            d3 -= a
-            np.multiply(x, 3.0, out=a)
-            a *= w[2]
-            d3 += a
-            d3 -= w[3]
-            # d5 = x2 * x2 * x * w[0] - 5.0 * x2 * x2 * w[1] + 10.0 * x2 * x * w[2]
-            #      - 10.0 * x2 * w[3] + 5.0 * x * w[4] - w[5]
-            np.multiply(x2, x2, out=d5)
-            d5 *= x
-            d5 *= w[0]
-            np.multiply(x2, 5.0, out=a)
-            a *= x2
-            a *= w[1]
-            d5 -= a
-            np.multiply(x2, 10.0, out=b)
-            np.multiply(b, x, out=a)
-            a *= w[2]
-            d5 += a
-            b *= w[3]
-            d5 -= b
-            np.multiply(x, 5.0, out=a)
-            a *= w[4]
-            d5 += a
-            d5 -= w[5]
-            # term_c = 32.0 * w[0] - 40.0 * d2 / h2 + 20.0 * d3 / h3 - d5 / h5
-            out = term_c[chunk]
-            np.multiply(w[0], 32.0, out=out)
-            d2 *= 40.0
-            d2 /= h2
-            out -= d2
-            d3 *= 20.0
-            d3 /= h3
-            out += d3
-            d5 /= h5
-            out -= d5
-        sums_k += 0.75 * float(np.sum(term_k))
-        sums_conv += _CONV_COEF * float(np.sum(term_c))
-    return sums_k, sums_conv
+        # Chunk bounds are positions in the block, which starts at ``first``.
+        for c0 in range(b0 - first, m, _CHUNK):
+            c1 = min(c0 + _CHUNK, m)
+            powers = ws.powers[:, : c1 - c0]
+            for row, below in zip(powers[1:], powers):
+                np.multiply(below, t[c0:c1], out=row)
+            idx = ws.index[: c1 - c0]
+            for k, (lo, taylor) in enumerate(kernels):
+                rows = len(taylor)
+                w = ws.w[:rows, : c1 - c0]
+                q = ws.q[:rows, : c1 - c0]
+                np.subtract(lo[first + c0 : first + c1], first, out=idx)
+                for row, start in zip(prefix, w):
+                    row.take(idx, out=start, mode="clip")
+                np.subtract(prefix[:rows, c0:c1], w, out=w)
+                np.matmul(taylor, powers[:rows], out=q)
+                q *= w
+                sums[k] += float(np.sum(q))
+    return 0.75 * sums[0], _CONV_COEF * sums[1]
 
 
 def _score_range(s: NDArray, bandwidths: NDArray) -> NDArray:
@@ -283,7 +232,7 @@ def lscv_bandwidth(samples: NDArray, grid: NDArray, *, threads: int = 1) -> floa
     return float(grid[int(np.argmin(scores))])
 
 
-def default_bandwidth_grid(samples: NDArray, num: int = 30) -> NDArray:
+def default_bandwidth_grid(samples: NDArray) -> NDArray:
     """Log-spaced candidates spanning [0.25, 4] x sd x N^(-1/5).
 
     The range brackets the Epanechnikov normal-reference bandwidth, about
@@ -296,7 +245,7 @@ def default_bandwidth_grid(samples: NDArray, num: int = 30) -> NDArray:
     if scale == 0.0:
         scale = 1.0
     base = scale * samples.size ** (-0.2)
-    return np.geomspace(0.25 * base, 4.0 * base, num)
+    return np.geomspace(0.25 * base, 4.0 * base, _BANDWIDTH_CANDIDATES)
 
 
 def ks_statistic(samples: NDArray) -> float:

@@ -113,7 +113,6 @@ class SampleMoments:
 
     xbar: NDArray
     s_matrix: NDArray
-    n_used: int
 
 
 def decompose_sigma(sigma: NDArray) -> SigmaDecomposition:
@@ -179,14 +178,6 @@ def verify_assumptions(model: ModelSpec, l: NDArray) -> AssumptionReport:
     )
 
 
-def mu_nu(model: ModelSpec, nu_value: NDArray) -> NDArray:
-    """Shifted mean ``mu + B nu`` for one realization of the shift."""
-    nu_value = np.asarray(nu_value, dtype=float).reshape(-1)
-    if nu_value.shape[0] != model.q:
-        raise InvalidDimensionError("nu_value must have length q")
-    return model.mu + model.b @ nu_value
-
-
 def sample_data_matrix(
     model: ModelSpec, n: int, rng: RngStream
 ) -> tuple[NDArray, NDArray]:
@@ -221,4 +212,4 @@ def sample_mean_and_cov(x: NDArray) -> SampleMoments:
     xbar = x.mean(axis=1)
     centered = x - xbar[:, None]
     s_matrix = (centered @ centered.T) / (n - 1)
-    return SampleMoments(xbar=xbar, s_matrix=s_matrix, n_used=n)
+    return SampleMoments(xbar=xbar, s_matrix=s_matrix)

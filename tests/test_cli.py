@@ -496,6 +496,33 @@ def test_manifest_malformed_field_exit_2(tmp_path, monkeypatch, field, value):
     assert not (out / "samples.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "make_doc",
+    [
+        lambda manifest: [1, 2],
+        lambda manifest: {"config": [1]},
+        lambda manifest: dict(manifest, environment=["numpy"]),
+    ],
+    ids=["list", "config-list", "environment-list"],
+)
+def test_manifest_not_an_object_exit_2(tmp_path, monkeypatch, capsys, make_doc):
+    run_cli(*simulate_args(tmp_path / "a"))
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    (tmp_path / "bad.json").write_text(json.dumps(make_doc(manifest)))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("replicates were drawn from a malformed manifest")
+
+    monkeypatch.setattr(cli, "run_experiment", no_draw)
+    capsys.readouterr()
+    code = run_cli(
+        "simulate", "--manifest", str(tmp_path / "bad.json"), "--out", str(tmp_path / "b")
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_threads_below_one_exit_2(tmp_path, threads):
     out = tmp_path / "run"

@@ -133,16 +133,18 @@ def test_lscv_default_grid_interior_and_accurate(seed):
 
 
 @pytest.mark.parametrize(
-    "draw, rel_tol",
+    "draw, n, rel_tol",
     [
-        (lambda gen, n: gen.standard_normal(n), 1e-10),
+        (lambda gen, n: gen.standard_normal(n), 5_000, 1e-10),
         # Heavy tails: blocks sized by count span many bandwidths out there.
-        (lambda gen, n: gen.standard_t(3, n), 2e-8),
+        (lambda gen, n: gen.standard_t(3, n), 5_000, 2e-8),
+        # At the largest candidates one block spans two to three chunks.
+        (lambda gen, n: gen.standard_normal(n), 20_000, 1e-10),
     ],
-    ids=["normal", "t3"],
+    ids=["normal", "t3", "normal-multichunk"],
 )
-def test_lscv_accurate_across_default_grid(draw, rel_tol):
-    samples = draw(np.random.default_rng(0), 5_000)
+def test_lscv_accurate_across_default_grid(draw, n, rel_tol):
+    samples = draw(np.random.default_rng(0), n)
     grid = default_bandwidth_grid(samples)[[0, 7, 14, 21, 29]]
     scores = lscv_scores(samples, grid)
     for h, score in zip(grid, scores):

@@ -6,7 +6,6 @@ from locmix import (
     ModelSpec,
     RngStream,
     decompose_sigma,
-    mu_nu,
     sample_data_matrix,
     sample_mean_and_cov,
     verify_assumptions,
@@ -85,26 +84,6 @@ def test_verify_assumptions_dimension_mismatch():
         verify_assumptions(model, np.ones(3))
 
 
-def test_mu_nu_cases():
-    model = ModelSpec(
-        mu=np.array([1.0, -1.0]),
-        sigma=np.eye(2),
-        b=np.eye(2),
-        nu=Degenerate(np.zeros(2)),
-    )
-    np.testing.assert_array_equal(mu_nu(model, np.zeros(2)), [1.0, -1.0])
-    np.testing.assert_array_equal(mu_nu(model, np.array([1.0, 2.0])), [2.0, 1.0])
-    zero_b = ModelSpec(
-        mu=np.array([1.0, -1.0]),
-        sigma=np.eye(2),
-        b=np.zeros((2, 2)),
-        nu=Degenerate(np.zeros(2)),
-    )
-    np.testing.assert_array_equal(mu_nu(zero_b, np.array([5.0, 5.0])), [1.0, -1.0])
-    with pytest.raises(InvalidDimensionError):
-        mu_nu(model, np.zeros(3))
-
-
 def test_model_spec_validation():
     with pytest.raises(InvalidDimensionError):
         ModelSpec(
@@ -163,7 +142,6 @@ def test_sample_mean_and_cov_hand_values():
     moments = sample_mean_and_cov(np.array([[1.0, 3.0]]))
     assert moments.xbar[0] == pytest.approx(2.0)
     assert moments.s_matrix[0, 0] == pytest.approx(2.0)
-    assert moments.n_used == 2
 
 
 def test_sample_mean_and_cov_degenerate():
