@@ -196,8 +196,22 @@ def _run_and_write(
     return 0
 
 
+# The run options that a manifest fixes, with their defaults. The simulate
+# parser leaves them unset when absent, so that a manifest replay can tell
+# an option given on the command line from a default.
+_RUN_DEFAULTS = dict(
+    p=None, n=None, q=10, c=None, product="cov", nu="tn", seed=None, nreps=100_000, model_seed=0
+)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.manifest is not None:
+        given = [name for name in _RUN_DEFAULTS if name in vars(args)]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise InvalidInputError(
+                f"--manifest fixes the run; these options would be ignored: {flags}"
+            )
         doc = json.loads(Path(args.manifest).read_text())
         if not isinstance(doc, dict) or not all(
             isinstance(doc.get(key, {}), dict) for key in ("config", "environment")
@@ -214,20 +228,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 np.__version__,
             )
     else:
+        opt = {**_RUN_DEFAULTS, **vars(args)}
         for name in ("p", "n", "seed"):
-            if getattr(args, name) is None:
+            if opt[name] is None:
                 raise InvalidInputError(f"--{name} is required without --manifest")
-        c = args.c if args.c is not None else args.p / args.n
         cfg = ExperimentConfig(
-            p=args.p,
-            n=args.n,
-            q=args.q,
-            c=c,
-            n_reps=args.nreps,
-            product=ProductKind(args.product),
-            nu=default_nu(args.nu, args.q),
-            master_seed=args.seed,
-            model_seed=args.model_seed,
+            p=opt["p"],
+            n=opt["n"],
+            q=opt["q"],
+            c=opt["c"] if opt["c"] is not None else opt["p"] / opt["n"],
+            n_reps=opt["nreps"],
+            product=ProductKind(opt["product"]),
+            nu=default_nu(opt["nu"], opt["q"]),
+            master_seed=opt["seed"],
+            model_seed=opt["model_seed"],
         )
         normal_column = False
     return _run_and_write(cfg, args.out, args.threads, normal_column)
@@ -284,30 +298,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"locmix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Options shared by the two commands that run an experiment.
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--nreps", type=int, default=100_000, help="Monte Carlo replicates")
-    run.add_argument(
-        "--model-seed", type=int, default=0, help="seed of the random model (default 0)"
-    )
-    run.add_argument("--out", required=True, help="output directory")
-    run.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="threads that draw and score the replicates, at least 1 (output is "
-        "independent of this)",
-    )
+    def run_options(nreps, model_seed) -> argparse.ArgumentParser:
+        """Options shared by the two commands that run an experiment."""
+        run = argparse.ArgumentParser(add_help=False)
+        run.add_argument("--nreps", type=int, default=nreps, help="Monte Carlo replicates")
+        run.add_argument(
+            "--model-seed", type=int, default=model_seed, help="seed of the random model (default 0)"
+        )
+        run.add_argument("--out", required=True, help="output directory")
+        run.add_argument(
+            "--threads",
+            type=int,
+            default=os.cpu_count() or 1,
+            help="threads that draw and score the replicates, at least 1 (output is "
+            "independent of this)",
+        )
+        return run
 
+    # Unset simulate options stay off the namespace; see _RUN_DEFAULTS.
     sim = sub.add_parser(
-        "simulate", parents=[run], help="run one experiment and write its artifacts"
+        "simulate",
+        parents=[run_options(argparse.SUPPRESS, argparse.SUPPRESS)],
+        argument_default=argparse.SUPPRESS,
+        help="run one experiment and write its artifacts",
     )
     sim.add_argument("--p", type=int, help="dimension")
     sim.add_argument("--n", type=int, help="sample size")
-    sim.add_argument("--q", type=int, default=10, help="shift dimension (default 10)")
-    sim.add_argument("--c", type=float, default=None, help="aspect ratio (default p/n)")
-    sim.add_argument("--product", choices=["cov", "precision"], default="cov")
-    sim.add_argument("--nu", choices=["tn", "gal"], default="tn", help="mixing family")
+    sim.add_argument("--q", type=int, help="shift dimension (default 10)")
+    sim.add_argument("--c", type=float, help="aspect ratio (default p/n)")
+    sim.add_argument(
+        "--product", choices=["cov", "precision"], help="moment product (default cov)"
+    )
+    sim.add_argument("--nu", choices=["tn", "gal"], help="mixing family (default tn)")
     sim.add_argument("--seed", type=int, help="master seed for the replicates")
     sim.add_argument(
         "--manifest", default=None, help="re-run the config stored in a manifest file"
@@ -315,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     fig = sub.add_parser(
-        "figure", parents=[run], help="reproduce one figure panel of the study"
+        "figure",
+        parents=[run_options(_RUN_DEFAULTS["nreps"], _RUN_DEFAULTS["model_seed"])],
+        help="reproduce one figure panel of the study",
     )
     fig.add_argument("--figure", type=int, required=True, help="figure number 1..8")
     fig.add_argument("--panel", choices=["a", "b", "c", "d"], required=True)

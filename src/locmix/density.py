@@ -12,9 +12,11 @@ its log-determinant follows from the identity
 and its quadratic form reduces to per-column precision forms minus a
 q-dimensional correction.  Everything is evaluated in log space.
 
-Orthant probabilities for q >= 2 are computed by a Genz-style
+Orthant probabilities with a diagonal covariance (q = 1 among them, and
+the normalizer under Omega = I) are a product of normal CDFs, exact in
+closed form.  Any other covariance goes through a Genz-style
 separation-of-variables transform integrated with randomized (scrambled
-Sobol) quasi-Monte Carlo; q = 1 has a closed form.
+Sobol) quasi-Monte Carlo.
 """
 
 from __future__ import annotations
@@ -128,9 +130,11 @@ def mvn_orthant_cdf(
 ) -> float:
     """Probability that a N_q(mean, cov) vector is componentwise <= 0.
 
-    Exact in closed form for q = 1.  For q >= 2 the estimate is refined
-    until its standard error (estimated from 8 independently scrambled
-    Sobol batches) drops below ``accuracy``.
+    Exact in closed form, ``prod(Phi(-mean / sqrt(diag(cov))))``, when
+    ``cov`` is diagonal; q = 1 is one such case, and such a call draws
+    nothing from ``rng``.  Otherwise the estimate is refined until its
+    standard error (estimated from 8 independently scrambled Sobol
+    batches) drops below ``accuracy``.
 
     Parameters
     ----------
@@ -142,24 +146,40 @@ def mvn_orthant_cdf(
 
     Raises
     ------
+    InvalidInputError
+        If ``mean`` or ``cov`` has a NaN or infinite entry.
+    NotPositiveDefiniteError
+        If a diagonal entry of ``cov`` is not positive, or ``cov`` is
+        numerically singular.
     AccuracyNotMetError
         If the point budget is exhausted first; carries the achieved
         standard error.
     """
-    # Imported here: scipy.stats and scipy.special take most of a second,
-    # and sampling never gets here.
+    # Imported here: scipy.special is slow to import, and sampling never
+    # gets here.
     from scipy.special import ndtr
-    from scipy.stats import qmc
 
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
     q = mean.shape[0]
-    if cov.shape != (q, q):
-        raise InvalidDimensionError("cov must be (q, q) matching mean")
+    if q == 0 or cov.shape != (q, q):
+        raise InvalidDimensionError("mean must be nonempty and cov (q, q) matching it")
     if not 0.0 < accuracy <= 0.01:
         raise InvalidInputError("accuracy must lie in (0, 0.01]")
-    if q == 1:
-        return float(ndtr(-mean[0] / np.sqrt(cov[0, 0])))
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise InvalidInputError("orthant mean and covariance must be finite")
+    var = np.diag(cov)
+    var_min = float(var.min())
+    if var_min <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"covariance has a non-positive diagonal entry ({var_min:.3e})", var_min
+        )
+    if not np.any(cov - np.diag(var)):
+        # Independent coordinates: the probability factorizes exactly.
+        return float(np.prod(ndtr(-mean / np.sqrt(var))))
+    # Only correlated orthants pay for scipy.stats.
+    from scipy.stats import qmc
+
     chol, upper = _ordered_cholesky(cov, -mean)
     seed_rng = rng if rng is not None else RngStream(0x0A7B, 0)
     n_batches = 8

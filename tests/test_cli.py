@@ -64,6 +64,16 @@ def test_figure_run_leaves_density_stack_unloaded(tmp_path):
     assert (tmp_path / "run" / "report.json").exists()
 
 
+def test_density_q1_run_leaves_scipy_stats_unloaded(tmp_path):
+    # A diagonal orthant is a product of normal CDFs: no Sobol engine.
+    (tmp_path / "model.json").write_text(json.dumps(TINY_MODEL))
+    (tmp_path / "data.csv").write_text("0.5,1.25\n")
+    argv = ["density", "--model", str(tmp_path / "model.json")]
+    argv += ["--data", str(tmp_path / "data.csv")]
+    code = f"import sys; from locmix.cli import main; assert main({argv!r}) == 0"
+    assert _loaded_density_stack(code) == "['scipy.special']"
+
+
 def test_simulate_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     assert run_cli(*simulate_args(out)) == 0
@@ -521,6 +531,41 @@ def test_manifest_not_an_object_exit_2(tmp_path, monkeypatch, capsys, make_doc):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--p", "3"),
+        ("--n", "60"),
+        ("--q", "10"),
+        ("--c", "0.5"),
+        ("--product", "cov"),
+        ("--nu", "tn"),
+        ("--seed", "9"),
+        ("--nreps", "100000"),
+        ("--model-seed", "0"),
+        ("--nreps", "50", "--seed", "9", "--p", "3"),
+    ],
+    ids=lambda option: " ".join(option),
+)
+def test_manifest_with_run_option_exit_2(tmp_path, monkeypatch, capsys, option):
+    # Values equal to the defaults count too: the manifest would override them.
+    run_cli(*simulate_args(tmp_path / "a"))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("replicates were drawn despite ignored options")
+
+    monkeypatch.setattr(cli, "run_experiment", no_draw)
+    capsys.readouterr()
+    manifest = str(tmp_path / "a" / "manifest.json")
+    out = tmp_path / "b"
+    code = run_cli("simulate", "--manifest", manifest, *option, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert all(flag in err for flag in option if flag.startswith("--"))
+    assert not (out / "samples.csv").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -14,6 +14,7 @@ from locmix.errors import (
     AccuracyNotMetError,
     InvalidDimensionError,
     InvalidInputError,
+    NotPositiveDefiniteError,
     UnsupportedMixingError,
 )
 from locmix.verify import (
@@ -121,7 +122,40 @@ def test_orthant_q3_against_independence():
 
     target = float(np.prod(ndtr(-mean / np.sqrt(np.diag(cov)))))
     val = mvn_orthant_cdf(mean, cov, 1e-5, rng=RngStream(41, 0))
-    assert val == pytest.approx(target, abs=3e-5)
+    assert val == pytest.approx(target, abs=1e-15)
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_orthant_identity_is_exact(q):
+    assert mvn_orthant_cdf(np.zeros(q), np.eye(q), 1e-6) == 0.5**q
+
+
+def test_orthant_diagonal_draws_nothing():
+    rng = RngStream(44, 0)
+    state = rng.generator.bit_generator.state
+    mvn_orthant_cdf(np.array([0.2, -1.0, 0.5]), np.diag([1.0, 3.0, 0.2]), 1e-6, rng=rng)
+    assert rng.generator.bit_generator.state == state
+
+
+@pytest.fixture
+def no_sobol(monkeypatch):
+    """Fail the test if any Sobol engine is built."""
+    from scipy.stats import qmc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Sobol engine was built")
+
+    monkeypatch.setattr(qmc, "Sobol", refuse)
+
+
+def test_identity_omega_needs_no_sobol(no_sobol):
+    model = ModelSpec(
+        mu=np.zeros(3), sigma=np.eye(3), b=np.zeros((3, 4)), nu=TruncatedNormalAbs(np.eye(4))
+    )
+    ws = build_workspace(model, 2)
+    assert ws.log_c == 4 * np.log(0.5)
+    value = log_density(ws, model, np.ones((3, 2)))
+    assert value == pytest.approx(-0.5 * (6 * np.log(2 * np.pi) + 6.0), abs=1e-12)
 
 
 def test_orthant_validates_inputs():
@@ -129,6 +163,28 @@ def test_orthant_validates_inputs():
         mvn_orthant_cdf(np.zeros(2), np.eye(2), 0.05)
     with pytest.raises(InvalidDimensionError):
         mvn_orthant_cdf(np.zeros(2), np.eye(3), 1e-3)
+    with pytest.raises(InvalidDimensionError):
+        mvn_orthant_cdf(np.zeros(0), np.eye(0), 1e-3)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_orthant_non_positive_variance(q, bad):
+    cov = np.eye(q)
+    cov[-1, -1] = bad
+    with pytest.raises(NotPositiveDefiniteError):
+        mvn_orthant_cdf(np.zeros(q), cov, 1e-3)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("where", ["mean", "cov"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_orthant_non_finite_input(no_sobol, q, where, bad):
+    mean = np.zeros(q)
+    cov = np.full((q, q), 0.5) + 0.5 * np.eye(q)
+    (mean if where == "mean" else cov)[0] = bad
+    with pytest.raises(InvalidInputError):
+        mvn_orthant_cdf(mean, cov, 1e-3)
 
 
 def test_orthant_accuracy_not_met():
