@@ -51,7 +51,7 @@ from .harness import (
     summarize_experiment,
 )
 from .kde import DEFAULT_KDE_GRID, GofReport
-from .modelfile import load_model, nu_to_json, parse_nu
+from .modelfile import load_model, nu_to_json, parse_nu, read_json
 from .products import ProductKind
 from .rng import BIT_GENERATOR
 
@@ -212,7 +212,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise InvalidInputError(
                 f"--manifest fixes the run; these options would be ignored: {flags}"
             )
-        doc = json.loads(Path(args.manifest).read_text())
+        doc = read_json(args.manifest, "manifest")
         if not isinstance(doc, dict) or not all(
             isinstance(doc.get(key, {}), dict) for key in ("config", "environment")
         ):
@@ -284,7 +284,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"could not parse data CSV: {exc}") from exc
     data = finite_array(data, "data CSV")
     workspace = build_workspace(model, data.shape[1])
-    value = log_density(workspace, model, data)
+    value = log_density(workspace, data)
     print(json.dumps({"log_density": value}))
     return 0
 
@@ -376,7 +376,6 @@ def main(argv: list[str] | None = None) -> int:
         InvalidDimensionError,
         ZeroVectorError,
         NotPositiveDefiniteError,
-        json.JSONDecodeError,
         KeyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

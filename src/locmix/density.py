@@ -1,16 +1,29 @@
 """Exact density of the observation matrix under half-normal mixing.
 
 When the location shift is ``nu = |psi|`` with ``psi ~ N_q(0, omega)``,
-the matrix density factors into a Gaussian orthant probability times a
-``pn``-variate normal density whose covariance ``F`` has a low-rank
-(Woodbury) structure.  ``F`` is ``np x np`` and is never materialized:
-its log-determinant follows from the identity
+the density of the (p, n) matrix ``Z`` is
 
-    log|F| = n log|Sigma| + log|Omega| - log|D|,
-    D = (n B'Sigma^{-1}B + Omega^{-1})^{-1},
+    phi(vec Z; mu 1_n', F) * P(psi >= 0 | Z) / P(psi >= 0),
 
-and its quadratic form reduces to per-column precision forms minus a
-q-dimensional correction.  Everything is evaluated in log space.
+where ``F = I_n (x) Sigma + (1_n 1_n') (x) B Omega B'`` is ``np x np``
+and never materialized.  Everything runs on whitened columns: with
+``Sigma = U Lambda U'`` (:func:`model.decompose_sigma`), ``W =
+Lambda^{-1/2} U'`` and ``P`` the inverse Cholesky factor of ``Omega``,
+one QR factorization ``[sqrt(n) W B; P] = Q R`` gives the posterior
+covariance ``D = (R'R)^{-1}`` of ``psi`` and
+
+    log|F| = n log|Sigma| + log|Omega| + 2 log|det R|.
+
+With ``w_j = W (z_j - mu)`` and ``wbar`` their mean, the posterior mean
+``nuhat = D n B'W'wbar`` is the least-squares solution ``R^{-1} Q_1'
+sqrt(n) wbar`` (``Q_1`` the top p rows of ``Q``), which never squares
+the condition number of ``D``.  The quadratic form of ``F`` is a sum of
+squares,
+
+    sum_j |w_j - wbar|^2 + n |wbar - W B nuhat|^2 + |P nuhat|^2,
+
+so no two terms cancel, and ``P(psi >= 0 | Z)`` is the orthant
+probability of ``N_q(-nuhat, D)``.  Everything is evaluated in log space.
 
 Orthant probabilities with a diagonal covariance (q = 1 among them, and
 the normalizer under Omega = I) are a product of normal CDFs, exact in
@@ -34,22 +47,12 @@ from .errors import (
     NotPositiveDefiniteError,
     UnsupportedMixingError,
 )
-from .model import ModelSpec
+from .model import ModelSpec, decompose_sigma
 from .rng import RngStream
 
 _LOG_2PI = np.log(2.0 * np.pi)
-
-
-def _chol_logdet(mat: NDArray, name: str) -> tuple[NDArray, float]:
-    """Lower Cholesky factor and log-determinant of an SPD matrix."""
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        lam_min = float(np.linalg.eigvalsh(mat)[0])
-        raise NotPositiveDefiniteError(
-            f"{name} is not positive definite (lambda_min={lam_min:.3e})", lam_min
-        ) from None
-    return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
+# Standard error asked of every orthant probability of the density.
+_ORTHANT_SE = 1e-6
 
 
 def _ordered_cholesky(cov: NDArray, upper: NDArray) -> tuple[NDArray, NDArray]:
@@ -207,39 +210,37 @@ def mvn_orthant_cdf(
 
 @dataclass(frozen=True)
 class DensityWorkspace:
-    """Cached factors for evaluating the half-normal-mixing matrix density.
+    """A half-normal-mixing model prepared for data matrices of n columns.
 
-    The determinant identity ``log|F| = n log|Sigma| + log|Omega|
-    - log|D|`` is baked in; the normalizing orthant constant is stored as
-    ``log_c``.
+    ``white`` whitens a column (``white.T @ white = Sigma^{-1}``),
+    ``white_b = white @ B``, and ``prior`` whitens the shift
+    (``prior.T @ prior = Omega^{-1}``).  ``basis`` (the top p rows of Q)
+    and ``r_inv`` (R^{-1}) come from the QR factorization ``[sqrt(n)
+    white_b; prior] = Q R``.  ``d_matrix = r_inv @ r_inv.T`` is the
+    posterior covariance ``D`` of ``psi``, ``log_det_f`` the
+    log-determinant of the implicit ``np x np`` covariance, and ``log_c``
+    the log of the normalizer ``P(psi >= 0)``.
     """
 
-    d_matrix: NDArray
-    sigma_inv: NDArray
-    log_det_sigma: float
-    log_det_omega: float
-    log_det_d: float
+    mu: NDArray
     n: int
-    b_t_sigma_inv: NDArray
+    white: NDArray
+    white_b: NDArray
+    prior: NDArray
+    basis: NDArray
+    r_inv: NDArray
+    d_matrix: NDArray
+    log_det_f: float
     log_c: float
-    b_is_zero: bool
-
-    @property
-    def log_det_f(self) -> float:
-        return self.n * self.log_det_sigma + self.log_det_omega - self.log_det_d
 
 
-def build_workspace(
-    model: ModelSpec,
-    n: int,
-    *,
-    orthant_accuracy: float = 1e-6,
-    rng: RngStream | None = None,
-) -> DensityWorkspace:
-    """Precompute all factors of the matrix density for sample size ``n``.
+def build_workspace(model: ModelSpec, n: int) -> DensityWorkspace:
+    """Prepare the matrix density of ``model`` for sample size ``n``.
 
     Only the half-normal mixing family is supported; other mixing laws
-    raise :class:`UnsupportedMixingError`.
+    raise :class:`UnsupportedMixingError`.  Sigma goes through
+    :func:`decompose_sigma`, so an asymmetric or indefinite Sigma raises
+    its typed error.
     """
     if not isinstance(model.nu, TruncatedNormalAbs):
         raise UnsupportedMixingError(
@@ -247,49 +248,39 @@ def build_workspace(
         )
     if n < 1:
         raise InvalidDimensionError("n must be >= 1")
-    omega = model.nu.omega
-    sigma_chol, log_det_sigma = _chol_logdet(model.sigma, "sigma")
-    omega_chol, log_det_omega = _chol_logdet(omega, "omega")
-    eye_p = np.eye(model.p)
-    sigma_inv = np.linalg.solve(model.sigma, eye_p)
-    sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
-    omega_inv = np.linalg.solve(omega, np.eye(model.q))
-    omega_inv = 0.5 * (omega_inv + omega_inv.T)
-    b_t_sigma_inv = model.b.T @ sigma_inv
-    d_inv = n * (b_t_sigma_inv @ model.b) + omega_inv
-    d_inv = 0.5 * (d_inv + d_inv.T)
-    _, log_det_d_inv = _chol_logdet(d_inv, "D^{-1}")
-    d_matrix = np.linalg.solve(d_inv, np.eye(model.q))
-    d_matrix = 0.5 * (d_matrix + d_matrix.T)
-    log_c = float(
-        np.log(mvn_orthant_cdf(np.zeros(model.q), omega, orthant_accuracy, rng=rng))
+    dec = decompose_sigma(model.sigma)
+    white = dec.eigenvectors.T / np.sqrt(dec.eigenvalues)[:, None]
+    white_b = white @ model.b
+    omega_chol = model.nu._chol
+    prior = np.linalg.inv(omega_chol)
+    basis, r = np.linalg.qr(np.vstack([np.sqrt(n) * white_b, prior]))
+    r_inv = np.linalg.inv(r)
+    log_det_f = (
+        n * np.sum(np.log(dec.eigenvalues))
+        + 2.0 * np.sum(np.log(np.diag(omega_chol)))
+        + 2.0 * np.sum(np.log(np.abs(np.diag(r))))
     )
+    log_c = np.log(mvn_orthant_cdf(np.zeros(model.q), model.nu.omega, _ORTHANT_SE))
     return DensityWorkspace(
-        d_matrix=d_matrix,
-        sigma_inv=sigma_inv,
-        log_det_sigma=log_det_sigma,
-        log_det_omega=log_det_omega,
-        log_det_d=-log_det_d_inv,
+        mu=model.mu,
         n=n,
-        b_t_sigma_inv=b_t_sigma_inv,
-        log_c=log_c,
-        b_is_zero=not np.any(model.b),
+        white=white,
+        white_b=white_b,
+        prior=prior,
+        basis=basis[: model.p],
+        r_inv=r_inv,
+        d_matrix=r_inv @ r_inv.T,
+        log_det_f=float(log_det_f),
+        log_c=float(log_c),
     )
 
 
-def log_density(
-    workspace: DensityWorkspace,
-    model: ModelSpec,
-    z: NDArray,
-    *,
-    orthant_accuracy: float = 1e-6,
-    rng: RngStream | None = None,
-) -> float:
+def log_density(workspace: DensityWorkspace, z: NDArray) -> float:
     """Log density of one (p, n) observation matrix.
 
-    The quadratic form of the implicit large covariance is evaluated as
-    per-column precision forms minus the q-dimensional Woodbury
-    correction; no np x np matrix appears.
+    The quadratic form of the implicit ``np x np`` covariance is a sum of
+    three sums of squares of whitened data (see the module docstring), so
+    it keeps its relative accuracy when an entry of Sigma is small.
 
     Raises
     ------
@@ -297,36 +288,31 @@ def log_density(
         If the orthant probability misses its accuracy target or
         underflows to 0 (data far in the tail).
     """
+    ws = workspace
     z = np.asarray(z, dtype=float)
-    if z.shape != (model.p, workspace.n):
-        raise InvalidDimensionError(
-            f"data must be (p, n) = ({model.p}, {workspace.n}); got {z.shape}"
-        )
-    if not isinstance(model.nu, TruncatedNormalAbs):
-        raise UnsupportedMixingError(
-            "the closed-form matrix density requires half-normal mixing"
-        )
-    m = z - model.mu[:, None]
-    sinv_m = workspace.sigma_inv @ m
-    quad_cols = float(np.sum(m * sinv_m))
-    g = workspace.b_t_sigma_inv @ m.sum(axis=1)
-    quad = quad_cols - float(g @ workspace.d_matrix @ g)
-    np_total = model.p * workspace.n
-    log_phi = -0.5 * (np_total * _LOG_2PI + workspace.log_det_f + quad)
-    if workspace.b_is_zero:
+    p = ws.mu.shape[0]
+    if z.shape != (p, ws.n):
+        raise InvalidDimensionError(f"data must be (p, n) = ({p}, {ws.n}); got {z.shape}")
+    w = ws.white @ (z - ws.mu[:, None])
+    wbar = w.mean(axis=1)
+    nu_hat = ws.r_inv @ (ws.basis.T @ (np.sqrt(ws.n) * wbar))
+    resid = wbar - ws.white_b @ nu_hat
+    prior_nu = ws.prior @ nu_hat
+    quad = (
+        float(np.sum(np.square(w - wbar[:, None])))
+        + ws.n * float(resid @ resid)
+        + float(prior_nu @ prior_nu)
+    )
+    log_phi = -0.5 * (p * ws.n * _LOG_2PI + ws.log_det_f + quad)
+    if not ws.white_b.any():
         # Zero loading: the orthant factor equals the normalizer exactly.
-        log_orthant = workspace.log_c
-    else:
-        prob = mvn_orthant_cdf(
-            -workspace.d_matrix @ g, workspace.d_matrix, orthant_accuracy, rng=rng
+        return log_phi
+    prob = mvn_orthant_cdf(-nu_hat, ws.d_matrix, _ORTHANT_SE)
+    if prob == 0.0:
+        # The data are finite, so the true probability is positive.
+        raise AccuracyNotMetError(
+            "orthant probability underflows to 0 for these data (far tail); "
+            "its log cannot be evaluated",
+            1.0,
         )
-        if prob == 0.0:
-            # The data are finite, so the true probability is positive.
-            raise AccuracyNotMetError(
-                "orthant probability underflows to 0 for these data (far tail); "
-                "its log cannot be evaluated",
-                1.0,
-            )
-        log_orthant = float(np.log(prob))
-    return log_orthant + log_phi - workspace.log_c
-
+    return float(np.log(prob)) + log_phi - ws.log_c

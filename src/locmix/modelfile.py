@@ -63,12 +63,17 @@ def parse_nu(node) -> NuDistribution:
     raise InvalidInputError(f"unknown nu kind {kind!r}")
 
 
+def read_json(path: str | Path, what: str):
+    """Parse a JSON file; bytes that are not UTF-8 JSON raise InvalidInputError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"{what} is not valid UTF-8 JSON: {exc}") from exc
+
+
 def load_model(path: str | Path) -> ModelSpec:
     """Read a model specification from a JSON file."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"model file is not valid JSON: {exc}") from exc
+    doc = read_json(path, "model file")
     try:
         mu = np.asarray(doc["mu"], dtype=float)
         sigma = _parse_matrix(doc["sigma"], "sigma")

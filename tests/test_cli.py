@@ -379,6 +379,29 @@ def test_density_infinite_model_exit_2(tmp_path):
     assert run_cli(*args) == 2
 
 
+def test_density_asymmetric_sigma_exit_2(tmp_path, capsys):
+    sigma = {"dense": [[1, 0.3], [0.2, 1]]}
+    model = dict(TINY_MODEL, mu=[0.0, 0.0], sigma=sigma, b=[[0.5], [0.5]])
+    args = write_density_inputs(tmp_path, json.dumps(model), "0.5,1.25\n0.1,-0.2\n")
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma is not symmetric") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "density"])
+def test_non_utf8_json_file_exit_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    if command == "simulate":
+        args = ("simulate", "--manifest", str(bad), "--out", str(tmp_path / "out"))
+    else:
+        (tmp_path / "data.csv").write_text("0.5,1.25\n")
+        args = ("density", "--model", str(bad), "--data", str(tmp_path / "data.csv"))
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_density_accuracy_not_met_exit_5(tmp_path, monkeypatch):
     import locmix.density as density
     from locmix.errors import AccuracyNotMetError

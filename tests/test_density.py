@@ -7,8 +7,10 @@ from locmix import (
     RngStream,
     TruncatedNormalAbs,
     build_workspace,
+    generate_paper_model,
     log_density,
     mvn_orthant_cdf,
+    sample_data_matrix,
 )
 from locmix.errors import (
     AccuracyNotMetError,
@@ -84,7 +86,7 @@ def test_density_matches_mixture_quadrature():
 def test_log_density_dimension_mismatch(tiny_tn_model):
     ws = build_workspace(tiny_tn_model, 2)
     with pytest.raises(InvalidDimensionError):
-        log_density(ws, tiny_tn_model, np.zeros((1, 3)))
+        log_density(ws, np.zeros((1, 3)))
 
 
 def test_quadrature_fallback_limits(tiny_tn_model):
@@ -154,7 +156,7 @@ def test_identity_omega_needs_no_sobol(no_sobol):
     )
     ws = build_workspace(model, 2)
     assert ws.log_c == 4 * np.log(0.5)
-    value = log_density(ws, model, np.ones((3, 2)))
+    value = log_density(ws, np.ones((3, 2)))
     assert value == pytest.approx(-0.5 * (6 * np.log(2 * np.pi) + 6.0), abs=1e-12)
 
 
@@ -197,9 +199,62 @@ def test_orthant_accuracy_not_met():
     assert err.value.achieved > 0
 
 
-def test_log_density_deterministic_with_stream(tiny_tn_model):
-    ws = build_workspace(tiny_tn_model, 2)
-    z = np.array([[0.5, 1.25]])
-    a = log_density(ws, tiny_tn_model, z, rng=RngStream(43, 0))
-    b = log_density(ws, tiny_tn_model, z, rng=RngStream(43, 0))
-    assert a == b
+def test_log_density_deterministic_with_stream():
+    # A correlated D (q = 2, nonzero b) runs QMC on the fixed default stream.
+    model = ModelSpec(
+        mu=np.zeros(2),
+        sigma=np.diag([1.0, 0.5]),
+        b=np.array([[1.0, 0.4], [0.2, 0.9]]),
+        nu=TruncatedNormalAbs(np.eye(2)),
+    )
+    ws = build_workspace(model, 3)
+    assert np.any(ws.d_matrix - np.diag(np.diag(ws.d_matrix)))
+    z = np.array([[0.5, 1.25, -0.3], [0.1, 0.7, 1.1]])
+    assert log_density(ws, z) == log_density(ws, z)
+
+
+def _mpmath_reference(model, z):
+    """Log density with its quadratic form, log|F|, nuhat and D at 50 digits.
+
+    Written for a diagonal Sigma and Omega = I as the plain Woodbury
+    formula ``quad = sum_j m_j'Sigma^{-1}m_j - g'Dg``, whose cancellation
+    50 digits absorb.  The orthant term comes from ``mvn_orthant_cdf``
+    on the rounded ``nuhat`` and ``D``.
+    """
+    import mpmath as mp
+
+    p, n = z.shape
+    q = model.q
+    with mp.workdps(50):
+        s = [mp.mpf(float(v)) for v in np.diag(model.sigma)]
+        m = [[mp.mpf(float(z[i, j])) - mp.mpf(float(model.mu[i])) for j in range(n)]
+             for i in range(p)]
+        b = mp.matrix(model.b.tolist())
+        d_inv = mp.eye(q)
+        for k in range(q):
+            for l in range(q):
+                d_inv[k, l] += n * mp.fsum(b[i, k] * b[i, l] / s[i] for i in range(p))
+        d = d_inv**-1
+        row_sums = [mp.fsum(row) for row in m]
+        g = mp.matrix([mp.fsum(b[i, k] * row_sums[i] / s[i] for i in range(p))
+                       for k in range(q)])
+        nu_hat = d * g
+        quad = mp.fsum(v * v / s[i] for i in range(p) for v in m[i]) - (g.T * nu_hat)[0]
+        log_det_f = n * mp.fsum(mp.log(v) for v in s) + mp.log(mp.det(d_inv))
+        log_phi = float(-(p * n * mp.log(2 * mp.pi) + log_det_f + quad) / 2)
+        d_float = np.array(d.tolist(), dtype=float)
+        nu_float = np.array(nu_hat.tolist(), dtype=float).reshape(-1)
+    orthant = mvn_orthant_cdf(-nu_float, d_float, 1e-6)
+    return log_phi + np.log(orthant) - q * np.log(0.5)
+
+
+@pytest.mark.parametrize("sigma_min", [1e-6, 1e-8])
+def test_log_density_small_sigma_entry_against_mpmath(sigma_min):
+    pytest.importorskip("mpmath")
+    paper = generate_paper_model(30, 5, 0)
+    sigma = paper.sigma.copy()
+    sigma[0, 0] = sigma_min
+    model = ModelSpec(mu=paper.mu, sigma=sigma, b=paper.b, nu=paper.nu)
+    z, _ = sample_data_matrix(model, 60, RngStream(1, 0))
+    value = log_density(build_workspace(model, 60), z)
+    assert value == pytest.approx(_mpmath_reference(model, z), abs=1e-6)
