@@ -26,6 +26,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -277,11 +278,16 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
     model = load_model(args.model)
     try:
-        data = np.loadtxt(args.data, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file is reported below as one error line.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(args.data, delimiter=",", ndmin=2)
     except (ValueError, OSError) as exc:
         if isinstance(exc, OSError) and not Path(args.data).exists():
             raise
         raise InvalidInputError(f"could not parse data CSV: {exc}") from exc
+    if data.size == 0:
+        raise InvalidInputError(f"data CSV {args.data} holds no numbers")
     data = finite_array(data, "data CSV")
     workspace = build_workspace(model, data.shape[1])
     value = log_density(workspace, data)

@@ -29,11 +29,13 @@ Orthant probabilities with a diagonal covariance (q = 1 among them, and
 the normalizer under Omega = I) are a product of normal CDFs, exact in
 closed form.  Any other covariance goes through a Genz-style
 separation-of-variables transform integrated with randomized (scrambled
-Sobol) quasi-Monte Carlo.
+Sobol) quasi-Monte Carlo.  Its small point sets are memoized read-only,
+so repeated evaluations in one process build no Sobol engine twice.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +126,46 @@ def _sov_integrand(chol: NDArray, upper: NDArray, u: NDArray) -> NDArray:
     return f
 
 
+# Each QMC round integrates _N_BATCHES independently scrambled Sobol
+# batches of 2**log2_m points; the first round has 2**_FIRST_LOG2_M.
+_N_BATCHES = 8
+_FIRST_LOG2_M = 7
+# Largest point set kept by the memo, in float64 values (points times
+# dimension): 32 KiB per array, so the 256 entries hold at most 8 MiB.
+_MEMO_MAX_VALUES = 1 << 12
+_MEMO_ENTRIES = 256
+# One integrand pass covers all 8 batches of every memoized round.  Larger
+# rounds take as many batches per pass as fit in this many point values,
+# so a round near the budget holds no more memory than one batch at a time.
+_PASS_MAX_VALUES = _N_BATCHES * _MEMO_MAX_VALUES
+
+
+def _sobol_points(d: int, seed: int, log2_m: int) -> NDArray:
+    """The ``2**log2_m`` points of ``qmc.Sobol(d, scramble=True, seed=seed)``.
+
+    Small point sets come from a memo on ``(d, seed, log2_m)``: the fixed
+    default stream of :func:`mvn_orthant_cdf` draws the same seeds on
+    every call, so their engines need not be built again.  Larger sets are
+    built anew on each call.  Every array is read-only, so concurrent
+    callers can share it.
+    """
+    if d << log2_m <= _MEMO_MAX_VALUES:
+        return _memo_sobol_points(d, seed, log2_m)
+    return _new_sobol_points(d, seed, log2_m)
+
+
+def _new_sobol_points(d: int, seed: int, log2_m: int) -> NDArray:
+    # Imported here: only correlated orthants pay for scipy.stats.
+    from scipy.stats import qmc
+
+    u = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(log2_m)
+    u.flags.writeable = False
+    return u
+
+
+_memo_sobol_points = functools.lru_cache(maxsize=_MEMO_ENTRIES)(_new_sobol_points)
+
+
 def mvn_orthant_cdf(
     mean: NDArray,
     cov: NDArray,
@@ -135,9 +177,20 @@ def mvn_orthant_cdf(
 
     Exact in closed form, ``prod(Phi(-mean / sqrt(diag(cov))))``, when
     ``cov`` is diagonal; q = 1 is one such case, and such a call draws
-    nothing from ``rng``.  Otherwise the estimate is refined until its
-    standard error (estimated from 8 independently scrambled Sobol
-    batches) drops below ``accuracy``.
+    nothing from ``rng``.  Otherwise the estimate is refined in rounds:
+    each round draws 8 seeds from ``rng``, scrambles one Sobol batch of
+    ``2**k`` points per seed (k = 7, 8, ...) and evaluates the integrand
+    once over all 8 batches (over fewer at a time once a batch holds more
+    than 2**12 values), until the standard error of the 8 batch means
+    drops below ``accuracy``.
+
+    Point sets of at most 2**12 values (points times q - 1) are memoized
+    on (q - 1, seed, round size), in an LRU of 256 arrays: at most 8 MiB.
+    The default stream draws the same seeds on every call, so a process
+    that evaluates many densities builds each of these engines once; a
+    one-shot ``locmix density`` process gains nothing.  The arrays are
+    read-only, so threads share them safely.  A caller's ``rng`` draws
+    other seeds and misses the memo.  The memo never changes a result.
 
     Parameters
     ----------
@@ -146,11 +199,16 @@ def mvn_orthant_cdf(
     rng : RngStream, optional
         Source of the scrambling randomness; a fixed default stream is
         used when omitted, making repeated calls deterministic.
+    max_points : int
+        Largest round, in points over all 8 batches; at least the first
+        round, 8 * 2**7 = 1024.
 
     Raises
     ------
     InvalidInputError
-        If ``mean`` or ``cov`` has a NaN or infinite entry.
+        If ``mean`` or ``cov`` has a NaN or infinite entry, ``accuracy``
+        is outside (0, 0.01], or ``max_points`` is not an integer of at
+        least 1024.
     NotPositiveDefiniteError
         If a diagonal entry of ``cov`` is not positive, or ``cov`` is
         numerically singular.
@@ -169,6 +227,11 @@ def mvn_orthant_cdf(
         raise InvalidDimensionError("mean must be nonempty and cov (q, q) matching it")
     if not 0.0 < accuracy <= 0.01:
         raise InvalidInputError("accuracy must lie in (0, 0.01]")
+    first_round = _N_BATCHES << _FIRST_LOG2_M
+    if not isinstance(max_points, (int, np.integer)) or max_points < first_round:
+        raise InvalidInputError(
+            f"max_points must be an integer of at least one round ({first_round} points)"
+        )
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise InvalidInputError("orthant mean and covariance must be finite")
     var = np.diag(cov)
@@ -180,26 +243,22 @@ def mvn_orthant_cdf(
     if not np.any(cov - np.diag(var)):
         # Independent coordinates: the probability factorizes exactly.
         return float(np.prod(ndtr(-mean / np.sqrt(var))))
-    # Only correlated orthants pay for scipy.stats.
-    from scipy.stats import qmc
-
     chol, upper = _ordered_cholesky(cov, -mean)
     seed_rng = rng if rng is not None else RngStream(0x0A7B, 0)
-    n_batches = 8
-    log2_m = 7
-    est, se = 0.0, np.inf
+    log2_m = _FIRST_LOG2_M
     while True:
-        seeds = seed_rng.generator.integers(0, 2**63 - 1, size=n_batches)
-        batch_means = np.empty(n_batches)
-        for j in range(n_batches):
-            engine = qmc.Sobol(d=q - 1, scramble=True, seed=int(seeds[j]))
-            u = engine.random_base2(log2_m)
-            batch_means[j] = float(np.mean(_sov_integrand(chol, upper, u)))
+        seeds = [int(s) for s in seed_rng.generator.integers(0, 2**63 - 1, size=_N_BATCHES)]
+        step = max(1, _PASS_MAX_VALUES // ((q - 1) << log2_m))
+        means = []
+        for j in range(0, _N_BATCHES, step):
+            u = np.concatenate([_sobol_points(q - 1, s, log2_m) for s in seeds[j : j + step]])
+            means.append(_sov_integrand(chol, upper, u).reshape(-1, 1 << log2_m).mean(axis=1))
+        batch_means = np.concatenate(means)
         est = float(np.mean(batch_means))
-        se = float(np.std(batch_means, ddof=1) / np.sqrt(n_batches))
+        se = float(np.std(batch_means, ddof=1) / np.sqrt(_N_BATCHES))
         if se <= accuracy:
             return min(max(est, 0.0), 1.0)
-        if n_batches * (1 << (log2_m + 1)) > max_points:
+        if _N_BATCHES << (log2_m + 1) > max_points:
             raise AccuracyNotMetError(
                 f"orthant probability reached standard error {se:.3e} "
                 f"(target {accuracy:.3e}) within the point budget",

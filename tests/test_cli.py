@@ -34,19 +34,23 @@ def simulate_args(out, nreps=500, extra=()):
 _DENSITY_STACK = ("scipy.special", "scipy.stats", "scipy.integrate")
 
 
-def _loaded_density_stack(code):
-    """Run ``code`` in a fresh interpreter; return the density-stack modules it loaded."""
+def _fresh_interpreter(code, check=True):
+    """Run ``code`` in a fresh interpreter that imports this tree's locmix."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code += f"; print(sorted(m for m in {_DENSITY_STACK!r} if m in sys.modules))"
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        check=True,
+        check=check,
     )
-    return done.stdout.strip().splitlines()[-1]
+
+
+def _loaded_density_stack(code):
+    """Run ``code`` in a fresh interpreter; return the density-stack modules it loaded."""
+    code += f"; print(sorted(m for m in {_DENSITY_STACK!r} if m in sys.modules))"
+    return _fresh_interpreter(code).stdout.strip().splitlines()[-1]
 
 
 def test_import_leaves_density_stack_unloaded():
@@ -400,6 +404,17 @@ def test_non_utf8_json_file_exit_2(tmp_path, capsys, command):
     assert run_cli(*args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("data_text", ["", "# no rows\n"])
+def test_density_empty_csv_one_error_line(tmp_path, data_text):
+    # Checked in a fresh interpreter: pytest would capture numpy's
+    # "input contained no data" warning instead of letting it reach stderr.
+    args = list(write_density_inputs(tmp_path, json.dumps(TINY_MODEL), data_text))
+    code = f"import sys; from locmix.cli import main; sys.exit(main({args!r}))"
+    done = _fresh_interpreter(code, check=False)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [f"error: data CSV {args[-1]} holds no numbers"]
 
 
 def test_density_accuracy_not_met_exit_5(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from locmix import density
 from locmix import (
     Degenerate,
     ModelSpec,
@@ -141,12 +144,14 @@ def test_orthant_diagonal_draws_nothing():
 
 @pytest.fixture
 def no_sobol(monkeypatch):
-    """Fail the test if any Sobol engine is built."""
+    """Fail the test if it runs any QMC: the point memo is emptied, so every
+    point set would need a new Sobol engine, and building one fails."""
     from scipy.stats import qmc
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Sobol engine was built")
 
+    density._memo_sobol_points.cache_clear()
     monkeypatch.setattr(qmc, "Sobol", refuse)
 
 
@@ -187,6 +192,100 @@ def test_orthant_non_finite_input(no_sobol, q, where, bad):
     (mean if where == "mean" else cov)[0] = bad
     with pytest.raises(InvalidInputError):
         mvn_orthant_cdf(mean, cov, 1e-3)
+
+
+@pytest.mark.parametrize("max_points", [0, -5, 2.5, 1023, 1024.0, "4096"])
+def test_orthant_rejects_bad_max_points(no_sobol, max_points):
+    # Before any QMC: a budget below the first round of 8 x 2^7 points
+    # used to be exceeded without a word.
+    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(InvalidInputError, match="max_points"):
+        mvn_orthant_cdf(np.zeros(2), cov, 1e-3, max_points=max_points)
+
+
+def test_orthant_accepts_one_round_budget():
+    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+    target = 0.25 + np.arcsin(0.5) / (2 * np.pi)
+    for budget in (1024, np.int64(1024)):
+        assert mvn_orthant_cdf(np.zeros(2), cov, 1e-2, max_points=budget) == pytest.approx(
+            target, abs=1e-3
+        )
+
+
+def _per_batch_orthant(mean, cov, accuracy, rng=None):
+    """The orthant QMC as one Sobol engine and one integrand call per batch."""
+    from scipy.stats import qmc
+
+    q = len(mean)
+    chol, upper = density._ordered_cholesky(cov, -mean)
+    seed_rng = rng if rng is not None else RngStream(0x0A7B, 0)
+    log2_m = 7
+    while True:
+        seeds = seed_rng.generator.integers(0, 2**63 - 1, size=8)
+        batch_means = np.empty(8)
+        for j in range(8):
+            engine = qmc.Sobol(d=q - 1, scramble=True, seed=int(seeds[j]))
+            u = engine.random_base2(log2_m)
+            batch_means[j] = float(np.mean(density._sov_integrand(chol, upper, u)))
+        se = float(np.std(batch_means, ddof=1) / np.sqrt(8))
+        if se <= accuracy:
+            return min(max(float(np.mean(batch_means)), 0.0), 1.0)
+        log2_m += 1
+
+
+def _correlated(q, seed):
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((q, q))
+    return gen.uniform(-1.0, 1.0, q), a @ a.T / q + 0.2 * np.eye(q)
+
+
+@pytest.mark.parametrize("q", [2, 5, 10])
+@pytest.mark.parametrize("stream", [None, 41])
+def test_orthant_memo_matches_per_batch_engines(q, stream):
+    # At 1e-7 every q runs past the memoized rounds into rounds whose
+    # batches are split over several integrand passes.
+    mean, cov = _correlated(q, q)
+    make = (lambda: None) if stream is None else (lambda: RngStream(stream, 0))
+    expected = _per_batch_orthant(mean, cov, 1e-7, make())
+    density._memo_sobol_points.cache_clear()
+    cold = mvn_orthant_cdf(mean, cov, 1e-7, rng=make())
+    assert density._memo_sobol_points.cache_info().currsize > 0
+    warm = mvn_orthant_cdf(mean, cov, 1e-7, rng=make())
+    assert cold == expected and warm == expected
+
+
+def test_memoized_points_are_read_only():
+    u = density._sobol_points(3, 12345, 7)
+    assert u.shape == (128, 3) and not u.flags.writeable
+    assert density._sobol_points(3, 12345, 7) is u
+
+
+def test_log_density_threads_share_the_memo():
+    model = ModelSpec(
+        mu=np.zeros(3),
+        sigma=np.diag([1.0, 0.5, 2.0]),
+        b=np.array([[1.0, 0.4, 0.0], [0.2, 0.9, 0.3], [0.5, 0.1, 0.8]]),
+        nu=TruncatedNormalAbs(np.eye(3)),
+    )
+    ws = build_workspace(model, 4)
+    zs = [sample_data_matrix(model, 4, RngStream(7, k))[0] for k in range(6)]
+    serial = [log_density(ws, z) for z in zs]
+    density._memo_sobol_points.cache_clear()
+    with ThreadPoolExecutor(4) as pool:
+        runs = list(pool.map(lambda _: [log_density(ws, z) for z in zs], range(4)))
+    assert runs == [serial] * 4
+
+
+def test_orthant_memo_skips_large_rounds():
+    # q = 6 through rounds 2^7 .. 2^12 per batch: only the rounds of at
+    # most _MEMO_MAX_VALUES values are memoized.
+    mean, cov = _correlated(6, 3)
+    density._memo_sobol_points.cache_clear()
+    with pytest.raises(AccuracyNotMetError):
+        mvn_orthant_cdf(mean, cov, 1e-12, max_points=8 << 12)
+    small = [k for k in range(7, 13) if 5 << k <= density._MEMO_MAX_VALUES]
+    assert 0 < len(small) < 6
+    assert density._memo_sobol_points.cache_info().currsize == 8 * len(small)
 
 
 def test_orthant_accuracy_not_met():
