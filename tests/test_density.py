@@ -196,8 +196,8 @@ def test_orthant_non_finite_input(no_sobol, q, where, bad):
 
 @pytest.mark.parametrize("max_points", [0, -5, 2.5, 1023, 1024.0, "4096"])
 def test_orthant_rejects_bad_max_points(no_sobol, max_points):
-    # Before any QMC: a budget below the first round of 8 x 2^7 points
-    # used to be exceeded without a word.
+    # A budget below the first round of 8 x 2^7 points cannot be kept, so
+    # it is refused before any QMC runs.
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(InvalidInputError, match="max_points"):
         mvn_orthant_cdf(np.zeros(2), cov, 1e-3, max_points=max_points)
