@@ -84,12 +84,14 @@ def _config_to_json(cfg: ExperimentConfig, normal_column: bool) -> dict:
 
 
 def _environment() -> dict:
-    """Versions and bit generator that determine the bytes of a run."""
+    """Versions, bit generator and BLAS that determine the bytes of a run."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "bit_generator": BIT_GENERATOR,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
     }
 
 

@@ -109,7 +109,7 @@ class AssumptionReport:
 
 @dataclass(frozen=True)
 class SampleMoments:
-    """Sample mean vector and sample covariance matrix of one data matrix."""
+    """Sample mean vectors and sample covariance matrices of data matrices."""
 
     xbar: NDArray
     s_matrix: NDArray
@@ -179,37 +179,40 @@ def verify_assumptions(model: ModelSpec, l: NDArray) -> AssumptionReport:
 
 
 def sample_data_matrix(
-    model: ModelSpec, n: int, rng: RngStream
+    model: ModelSpec, n: int, rng: RngStream, size: int | None = None
 ) -> tuple[NDArray, NDArray]:
-    """Draw one full (p, n) data matrix and return it with the shift used.
+    """Draw ``(size, p, n)`` data matrices; returns them with the ``(size, q)`` shifts.
 
-    One ``nu`` is drawn, then columns ``x_i = mu + B nu + A z_i`` with
-    ``A A^T = sigma`` and i.i.d. standard normal ``z_i``.  Draw order per
-    stream: nu first, then the (p, n) normal block.
+    Matrix k has columns ``x_i = mu + B nu_k + A z_i`` with ``A A^T =
+    sigma`` and i.i.d. standard normal ``z_i``.  ``size=None`` draws one
+    ``(p, n)`` matrix and its ``(q,)`` shift.  Draw order per stream: the
+    block of shifts, then one ``(size, p, n)`` normal block.
     """
     if n < 2:
         raise InvalidDimensionError("n must be >= 2")
-    nu_value = sample_nu(model.nu, rng, 1)[0]
+    count = 1 if size is None else size
+    nus = sample_nu(model.nu, rng, count)
     dec = decompose_sigma(model.sigma)
-    z = rng.generator.standard_normal((model.p, n))
-    x = (model.mu + model.b @ nu_value)[:, None] + dec.sqrt_factor @ z
-    return x, nu_value
+    z = rng.generator.standard_normal((count, model.p, n))
+    x = (model.mu + nus @ model.b.T)[:, :, None] + dec.sqrt_factor @ z
+    return (x[0], nus[0]) if size is None else (x, nus)
 
 
 def sample_mean_and_cov(x: NDArray) -> SampleMoments:
-    """Sample mean and sample covariance of a (p, n) data matrix.
+    """Sample means and sample covariances of a stack of (p, n) data matrices.
 
-    Uses the unbiased normalization ``S = sum (x_i - xbar)(x_i - xbar)^T
-    / (n - 1)``, so that ``(n-1) S`` is Wishart with ``n-1`` degrees of
-    freedom (singular Wishart when ``p > n-1``).
+    ``x`` is ``(..., p, n)``; ``xbar`` is ``(..., p)`` and ``s_matrix``
+    ``(..., p, p)``.  Uses the unbiased normalization ``S = sum (x_i -
+    xbar)(x_i - xbar)^T / (n - 1)``, so that ``(n-1) S`` is Wishart with
+    ``n-1`` degrees of freedom (singular Wishart when ``p > n-1``).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InvalidDimensionError("x must be a (p, n) matrix")
-    n = x.shape[1]
+    if x.ndim < 2:
+        raise InvalidDimensionError("x must be a (..., p, n) array")
+    n = x.shape[-1]
     if n < 2:
         raise InvalidDimensionError("need at least two observations")
-    xbar = x.mean(axis=1)
-    centered = x - xbar[:, None]
-    s_matrix = (centered @ centered.T) / (n - 1)
+    xbar = x.mean(axis=-1)
+    centered = x - xbar[..., None]
+    s_matrix = np.einsum("...in,...jn->...ij", centered, centered) / (n - 1)
     return SampleMoments(xbar=xbar, s_matrix=s_matrix)

@@ -97,30 +97,34 @@ def _dense_test_model(p: int, q: int, seed: int, family: str) -> tuple[ModelSpec
 
 
 def _block_draws(
-    n_draws: int, master_seed: int, first_stream: int, sampler, cache, n: int
-) -> NDArray:
-    """``n_draws`` product values, block b of BLOCK_SIZE on stream ``first_stream + b``."""
-    out = np.empty(n_draws)
-    for b, start in enumerate(range(0, n_draws, BLOCK_SIZE)):
-        count = min(BLOCK_SIZE, n_draws - start)
+    count: int, master_seed: int, first_stream: int, sampler, source, n: int
+) -> tuple[NDArray, ...]:
+    """``sampler(source, n, rng, size)`` over ``count`` replicates, concatenated.
+
+    Block b of BLOCK_SIZE replicates draws on stream ``first_stream + b``.
+    ``sampler`` is a product sampler on a ``QuadraticCache`` or the matrix
+    oracle ``sample_data_matrix`` on a ``ModelSpec``.
+    """
+    blocks = []
+    for b, start in enumerate(range(0, count, BLOCK_SIZE)):
         rng = RngStream(master_seed, first_stream + b)
-        out[start : start + count] = sampler(cache, n, rng, count)[0]
-    return out
+        blocks.append(sampler(source, n, rng, min(BLOCK_SIZE, count - start)))
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
 
-def _oracle_product_draws(
+def oracle_product_draws(
     model: ModelSpec, l: NDArray, n: int, master_seed: int, count: int, precision: bool
 ) -> NDArray:
-    """Brute force: simulate the full matrix and form the product directly."""
-    out = np.empty(count)
-    for i in range(count):
-        x, _ = sample_data_matrix(model, n, RngStream(master_seed, i))
-        moments = sample_mean_and_cov(x)
-        if precision:
-            out[i] = l @ np.linalg.solve(moments.s_matrix, moments.xbar)
-        else:
-            out[i] = l @ moments.s_matrix @ moments.xbar
-    return out
+    """Brute force: simulate full matrices and form the products directly.
+
+    Matrices come in blocks from stream 0 of ``master_seed`` on; every S
+    is formed and, for the precision product, solved on its own.
+    """
+    x, _ = _block_draws(count, master_seed, 0, sample_data_matrix, model, n)
+    m = sample_mean_and_cov(x)
+    if precision:
+        return np.linalg.solve(m.s_matrix, m.xbar[..., None])[..., 0] @ l
+    return np.einsum("kij,kj->ki", m.s_matrix, m.xbar) @ l
 
 
 def representation_vs_oracle(
@@ -142,9 +146,9 @@ def representation_vs_oracle(
                 ("precision", sample_precision_product),
             ):
                 block += 1
-                rep = _block_draws(n_draws, seed, block * _STRIDE, sampler, cache, n)
+                rep = _block_draws(n_draws, seed, block * _STRIDE, sampler, cache, n)[0]
                 block += 1
-                oracle = _oracle_product_draws(
+                oracle = oracle_product_draws(
                     model, l, n, seed + 7919, n_draws, product == "precision"
                 )
                 ks = ks_2samp(rep, oracle).statistic
@@ -168,8 +172,8 @@ def singular_regime_vs_oracle(
     for k, family in enumerate(("tn", "gal")):
         model, l = _dense_test_model(p, q, seed + 31 + k, family)
         cache = precompute_quadratics(model, l)
-        rep = _block_draws(n_draws, seed + 1, k * _STRIDE, sample_cov_product, cache, n)
-        oracle = _oracle_product_draws(model, l, n, seed + 104729 + k, n_draws, False)
+        rep = _block_draws(n_draws, seed + 1, k * _STRIDE, sample_cov_product, cache, n)[0]
+        oracle = oracle_product_draws(model, l, n, seed + 104729 + k, n_draws, False)
         ks = ks_2samp(rep, oracle).statistic
         results.append(
             _check(
@@ -257,21 +261,13 @@ def wishart_and_independence_checks(seed: int, reps: int = 10_000) -> list[Check
     results = []
     p, n, q = 4, 20, 2
     model, l = _dense_test_model(p, q, seed + 57, "tn")
-    s_mean = np.zeros((p, p))
-    tr_s = np.empty(reps)
-    l_s_l = np.empty(reps)
-    l_xbar = np.empty(reps)
-    for i in range(reps):
-        x, _ = sample_data_matrix(model, n, RngStream(seed, 10 * _STRIDE + i))
-        m = sample_mean_and_cov(x)
-        s_mean += m.s_matrix
-        tr_s[i] = np.trace(m.s_matrix)
-        l_s_l[i] = l @ m.s_matrix @ l
-        l_xbar[i] = l @ m.xbar
-    s_mean /= reps
-    rel_frob = np.linalg.norm((n - 1) * (s_mean - model.sigma)) / np.linalg.norm(
-        (n - 1) * model.sigma
-    )
+    x, _ = _block_draws(reps, seed, 10 * _STRIDE, sample_data_matrix, model, n)
+    m = sample_mean_and_cov(x)
+    s_mean = m.s_matrix.mean(axis=0)
+    tr_s = np.trace(m.s_matrix, axis1=1, axis2=2)
+    l_s_l = m.s_matrix @ l @ l
+    l_xbar = m.xbar @ l
+    rel_frob = np.linalg.norm(s_mean - model.sigma) / np.linalg.norm(model.sigma)
     results.append(_check("Wishart mean rel Frobenius (p=4,n=20)", rel_frob, 0.02))
     results.append(
         _check(
@@ -297,10 +293,8 @@ def _sampling_moment_checks(seed: int) -> list[CheckResult]:
     # Marginal of the mean vector: xbar - B nu ~ N(mu, sigma/n).
     p, n, reps = 4, 50, 10_000
     model, _ = _dense_test_model(p, q, seed + 58, "tn")
-    resid = np.empty((reps, p))
-    for i in range(reps):
-        x, nu_val = sample_data_matrix(model, n, RngStream(seed, 11 * _STRIDE + i))
-        resid[i] = x.mean(axis=1) - model.b @ nu_val
+    x, nus = _block_draws(reps, seed, 11 * _STRIDE, sample_data_matrix, model, n)
+    resid = x.mean(axis=2) - nus @ model.b.T
     target_cov = model.sigma / n
     se = np.sqrt(np.diag(target_cov) / reps)
     mean_dev = float(np.max(np.abs(resid.mean(axis=0) - model.mu) / (3.0 * se)))
@@ -317,13 +311,10 @@ def _sampling_moment_checks(seed: int) -> list[CheckResult]:
     model_gal = ModelSpec(
         mu=model_tn.mu, sigma=model_tn.sigma, b=model_tn.b, nu=default_nu("gal", q)
     )
-    tr_tn = np.empty(reps)
-    tr_gal = np.empty(reps)
-    for i in range(reps):
-        x, _ = sample_data_matrix(model_tn, n, RngStream(seed + 2, 12 * _STRIDE + i))
-        tr_tn[i] = np.trace(sample_mean_and_cov(x).s_matrix)
-        x, _ = sample_data_matrix(model_gal, n, RngStream(seed + 3, 13 * _STRIDE + i))
-        tr_gal[i] = np.trace(sample_mean_and_cov(x).s_matrix)
+    x_tn, _ = _block_draws(reps, seed + 2, 12 * _STRIDE, sample_data_matrix, model_tn, n)
+    x_gal, _ = _block_draws(reps, seed + 3, 13 * _STRIDE, sample_data_matrix, model_gal, n)
+    tr_tn = np.trace(sample_mean_and_cov(x_tn).s_matrix, axis1=1, axis2=2)
+    tr_gal = np.trace(sample_mean_and_cov(x_gal).s_matrix, axis1=1, axis2=2)
     results.append(
         _check(
             "S invariant to mixing law (tr S two-sample KS)",
@@ -351,7 +342,7 @@ def conditional_variance_cov(
     nu_fix = sample_nu(model.nu, RngStream(seed + 11, 0), 1)[0]
     cache = precompute_quadratics(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
     c = p / n
-    vals = _block_draws(n_reps, seed, 14 * _STRIDE, sample_cov_product, cache, n)
+    vals = _block_draws(n_reps, seed, 14 * _STRIDE, sample_cov_product, cache, n)[0]
     center, target = limit_moments(cache, c, nu_fix, ProductKind.COV_TIMES_MEAN)
     observed = np.var(np.sqrt(n) * (vals - center), ddof=1)
     se_mean = vals.std(ddof=1) / math.sqrt(n_reps)
@@ -384,7 +375,7 @@ def conditional_variance_precision(
     nu_fix = sample_nu(model.nu, RngStream(seed + 12, 0), 1)[0]
     cache = precompute_quadratics(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
     c = p / n
-    vals = _block_draws(n_reps, seed, 15 * _STRIDE, sample_precision_product, cache, n)
+    vals = _block_draws(n_reps, seed, 15 * _STRIDE, sample_precision_product, cache, n)[0]
     center_asym, target = limit_moments(cache, c, nu_fix, ProductKind.PRECISION_TIMES_MEAN)
     # l'Sigma^{-1}mu_nu recovered from the asymptotic centre a / (1 - c).
     center_exact = (n - 1) / (n - p - 2) * center_asym * (1.0 - c)
@@ -620,10 +611,8 @@ def _kde_density_consistency(seed: int, n_draws: int = 100_000) -> CheckResult:
     """2-D KDE of oracle draws against the closed-form density at (1,2,1)."""
     model = _TINY_MODEL
     ws = build_workspace(model, 2)
-    draws = np.empty((n_draws, 2))
-    for i in range(n_draws):
-        x, _ = sample_data_matrix(model, 2, RngStream(seed, 19 * _STRIDE + i))
-        draws[i] = x[0]
+    x, _ = _block_draws(n_draws, seed, 19 * _STRIDE, sample_data_matrix, model, 2)
+    draws = x[:, 0, :]
     # Pointwise error at density ~0.05 is variance-dominated at this N, so
     # oversmooth relative to the MISE rate; the density is smooth enough
     # that the extra bias stays far below the tolerance.

@@ -336,6 +336,65 @@ def test_verify_density_suite(capsys):
     assert {"name", "tolerance", "observed", "passed", "detail"} <= set(doc["checks"][0])
 
 
+VERIFY_ALL_CHECKS = [
+    "representation-vs-oracle cov p=3 n=12 q=1 nu=tn",
+    "representation-vs-oracle precision p=3 n=12 q=1 nu=tn",
+    "representation-vs-oracle cov p=3 n=12 q=1 nu=gal",
+    "representation-vs-oracle precision p=3 n=12 q=1 nu=gal",
+    "representation-vs-oracle cov p=5 n=20 q=2 nu=tn",
+    "representation-vs-oracle precision p=5 n=20 q=2 nu=tn",
+    "representation-vs-oracle cov p=5 n=20 q=2 nu=gal",
+    "representation-vs-oracle precision p=5 n=20 q=2 nu=gal",
+    "representation-vs-oracle cov p=8 n=25 q=3 nu=tn",
+    "representation-vs-oracle precision p=8 n=25 q=3 nu=tn",
+    "representation-vs-oracle cov p=8 n=25 q=3 nu=gal",
+    "representation-vs-oracle precision p=8 n=25 q=3 nu=gal",
+    "singular-regime cov p=15 n=10 nu=tn",
+    "singular-regime cov p=15 n=10 nu=gal",
+    "std-normal mean (dim=1)",
+    "chi2(100) mean rel err",
+    "chi2(100) variance rel err",
+    "noncentral chi2(50, 25) mean rel err",
+    "noncentral chi2 lambda=0 reduction (two-sample KS)",
+    "F(10,10) mean rel err",
+    "noncentral F(5,30,20) mean rel err",
+    "half-normal componentwise mean rel err",
+    "gamma-mixture componentwise mean rel err",
+    "Wishart mean rel Frobenius (p=4,n=20)",
+    "independence |corr(tr S, l'xbar)|",
+    "independence |corr(l'S l, l'xbar)|",
+    "mean-vector marginal: componentwise mean (units of 3 se)",
+    "mean-vector marginal: cov rel Frobenius",
+    "S invariant to mixing law (tr S two-sample KS)",
+    "cov conditional variance rel err (p=200, n=2000)",
+    "cov conditional mean (units of 3 se)",
+    "precision conditional variance rel err (p=100, n=1000)",
+    "precision centering vs exact mean (units of 3 se)",
+    "precision asymptotic centre rel err vs exact mean",
+    "variance form identity over 1000 instances (rel)",
+    "sigma2 continuity at c=0 (rel)",
+    "sigma2 at c=0 equals classical form (rel)",
+    "sigma2_tilde continuity at c=0 (rel)",
+    "sigma2_tilde strictly increasing in c",
+    "determinant identity (p=2, n=3, q=2) rel err",
+    "determinant identity (p=3, n=2, q=1) rel err",
+    "density normalization at (1,2,1)",
+    "density vs mixing-integral quadrature at (1,2,1)",
+    "orthant q=1 symmetry",
+    "orthant q=2 independent",
+    "orthant q=2 rho=0.5 closed form",
+    "zero-loading collapse to matrix normal (abs log diff)",
+    "sampling vs density (2-D KDE rel err where density > 0.05)",
+]
+
+
+def test_verify_all_suites_seed_0(capsys):
+    assert run_cli("verify", "--suite", "all", "--seed", "0") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert [c["name"] for c in doc["checks"]] == VERIFY_ALL_CHECKS
+
+
 def test_verify_failing_check_exit_1(monkeypatch, capsys):
     import locmix.verify as verify
 
@@ -437,12 +496,14 @@ def test_manifest_records_stream_contract_and_environment(tmp_path):
     out = tmp_path / "run"
     assert run_cli(*simulate_args(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["config"]["block_size"] == 4096
     assert manifest["environment"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "bit_generator": "PCG64",
+        "blas": {"name": blas["name"], "version": blas["version"]},
     }
 
 

@@ -5,9 +5,12 @@ from locmix import (
     Degenerate,
     ModelSpec,
     RngStream,
+    TruncatedNormalAbs,
     decompose_sigma,
+    generate_paper_model,
     sample_data_matrix,
     sample_mean_and_cov,
+    sample_nu,
     verify_assumptions,
 )
 from locmix.distributions import nu_mean
@@ -123,13 +126,61 @@ def test_sample_data_matrix_column_mean():
     resid = x2.mean(axis=1) - (model.mu + model.b @ nu_val)
     assert np.max(np.abs(resid)) < 0.02
     # And across independent matrices the column mean approaches mu + B E[nu].
-    means = np.array(
-        [
-            sample_data_matrix(model, 100, RngStream(3, i))[0].mean(axis=1)
-            for i in range(2000)
-        ]
-    )
+    means = sample_data_matrix(model, 100, RngStream(3, 0), 2000)[0].mean(axis=2)
     assert np.max(np.abs(means.mean(axis=0) - target)) < 0.05
+
+
+@pytest.mark.parametrize("family", ["tn", "gal"])
+def test_sample_data_matrix_block_of_one_equals_scalar_call(family):
+    model, _ = make_dense_model(5, 2, seed=12, family=family)
+    x_block, nus = sample_data_matrix(model, 20, RngStream(6, 0), 1)
+    x, nu_val = sample_data_matrix(model, 20, RngStream(6, 0))
+    assert x_block.shape == (1, 5, 20) and nus.shape == (1, 2)
+    assert x.shape == (5, 20) and nu_val.shape == (2,)
+    np.testing.assert_array_equal(x_block[0], x)
+    np.testing.assert_array_equal(nus[0], nu_val)
+
+
+@pytest.mark.parametrize(
+    "model, n, stream",
+    [
+        (generate_paper_model(5, 2, 0), 10, (1, 0)),
+        (generate_paper_model(30, 5, 0), 60, (1, 0)),
+        (
+            ModelSpec(
+                mu=np.zeros(3),
+                sigma=np.diag([1.0, 0.5, 2.0]),
+                b=np.array([[1.0, 0.4, 0.0], [0.2, 0.9, 0.3], [0.5, 0.1, 0.8]]),
+                nu=TruncatedNormalAbs(np.eye(3)),
+            ),
+            4,
+            (7, 5),
+        ),
+    ],
+    ids=["paper-5-2", "paper-30-5", "diagonal-3-3"],
+)
+def test_sample_data_matrix_single_draw_keeps_its_bytes(model, n, stream):
+    # The one-matrix formula, replayed on the same stream.
+    x, nu_val = sample_data_matrix(model, n, RngStream(*stream))
+    rng = RngStream(*stream)
+    expected_nu = sample_nu(model.nu, rng, 1)[0]
+    z = rng.generator.standard_normal((model.p, n))
+    shifted = (model.mu + model.b @ expected_nu)[:, None]
+    np.testing.assert_array_equal(nu_val, expected_nu)
+    np.testing.assert_array_equal(x, shifted + decompose_sigma(model.sigma).sqrt_factor @ z)
+
+
+def test_sample_data_matrix_block_draw_order():
+    # All shifts first, then one (size, p, n) block of normals.
+    model, _ = make_dense_model(4, 2, seed=14, family="gal")
+    x, nus = sample_data_matrix(model, 6, RngStream(8, 0), 3)
+    rng = RngStream(8, 0)
+    np.testing.assert_array_equal(nus, sample_nu(model.nu, rng, 3))
+    z = rng.generator.standard_normal((3, 4, 6))
+    shifted = (model.mu + nus @ model.b.T)[:, :, None]
+    np.testing.assert_allclose(
+        x, shifted + decompose_sigma(model.sigma).sqrt_factor @ z, rtol=0, atol=1e-12
+    )
 
 
 def test_sample_data_matrix_requires_two_columns():
@@ -150,6 +201,21 @@ def test_sample_mean_and_cov_degenerate():
     np.testing.assert_array_equal(moments.s_matrix, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("p, n", [(1, 2), (4, 20), (15, 10)])
+def test_sample_mean_and_cov_stack_matches_each_matrix(p, n):
+    # (15, 10) is the singular case p > n - 1.
+    x = RngStream(9, p).generator.standard_normal((6, p, n)) + np.arange(p)[:, None]
+    stacked = sample_mean_and_cov(x)
+    assert stacked.xbar.shape == (6, p) and stacked.s_matrix.shape == (6, p, p)
+    for k in range(6):
+        one = sample_mean_and_cov(x[k])
+        np.testing.assert_allclose(stacked.xbar[k], one.xbar, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked.s_matrix[k], one.s_matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            one.s_matrix, np.atleast_2d(np.cov(x[k])), rtol=0, atol=1e-12
+        )
+
+
 def test_sample_mean_and_cov_errors():
     with pytest.raises(InvalidDimensionError):
         sample_mean_and_cov(np.ones((3, 1)))
@@ -159,11 +225,8 @@ def test_wishart_mean_small():
     # (n-1) E[S] = (n-1) Sigma; averaged over replicates.
     model, _ = make_dense_model(4, 2, seed=11)
     p, n, reps = 4, 20, 4000
-    acc = np.zeros((p, p))
-    for i in range(reps):
-        x, _ = sample_data_matrix(model, n, RngStream(4, i))
-        acc += sample_mean_and_cov(x).s_matrix
-    acc /= reps
+    x, _ = sample_data_matrix(model, n, RngStream(4, 0), reps)
+    acc = sample_mean_and_cov(x).s_matrix.mean(axis=0)
     rel = np.linalg.norm(acc - model.sigma) / np.linalg.norm(model.sigma)
     assert rel < 0.03
 

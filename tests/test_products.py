@@ -10,26 +10,13 @@ from locmix import (
     RngStream,
     precompute_quadratics,
     sample_cov_product,
-    sample_data_matrix,
-    sample_mean_and_cov,
     sample_nu,
     sample_precision_product,
 )
 from locmix.errors import RegimeError, ZeroVectorError
+from locmix.verify import oracle_product_draws
 
 from conftest import make_dense_model
-
-
-def oracle_draws(model, l, n, seed, count, precision=False):
-    out = np.empty(count)
-    for i in range(count):
-        x, _ = sample_data_matrix(model, n, RngStream(seed, i))
-        m = sample_mean_and_cov(x)
-        if precision:
-            out[i] = l @ np.linalg.solve(m.s_matrix, m.xbar)
-        else:
-            out[i] = l @ m.s_matrix @ m.xbar
-    return out
 
 
 def test_delta_sq_examples():
@@ -237,7 +224,7 @@ def test_cov_product_matches_oracle(family):
     n, count = 20, 4000
     cache = precompute_quadratics(model, l)
     rep, _ = sample_cov_product(cache, n, RngStream(14, 0), count)
-    orc = oracle_draws(model, l, n, seed=15, count=count)
+    orc = oracle_product_draws(model, l, n, 15, count, precision=False)
     assert ks_2samp(rep, orc).statistic <= 0.04
 
 
@@ -247,7 +234,7 @@ def test_precision_product_matches_oracle(family):
     n, count = 30, 4000
     cache = precompute_quadratics(model, l)
     rep, _ = sample_precision_product(cache, n, RngStream(16, 0), count)
-    orc = oracle_draws(model, l, n, seed=17, count=count, precision=True)
+    orc = oracle_product_draws(model, l, n, 17, count, precision=True)
     assert ks_2samp(rep, orc).statistic <= 0.04
 
 
@@ -256,5 +243,5 @@ def test_cov_product_singular_regime_matches_oracle():
     n, count = 10, 3000
     cache = precompute_quadratics(model, l)
     rep, _ = sample_cov_product(cache, n, RngStream(18, 0), count)
-    orc = oracle_draws(model, l, n, seed=19, count=count)
+    orc = oracle_product_draws(model, l, n, 19, count, precision=False)
     assert ks_2samp(rep, orc).statistic <= 0.05
