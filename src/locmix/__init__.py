@@ -21,10 +21,8 @@ from .distributions import (
     GeneralizedAsymmetricLaplace,
     NuDistribution,
     TruncatedNormalAbs,
-    nu_cov,
     nu_mean,
     sample_chi_squared,
-    sample_noncentral_chi_squared,
     sample_noncentral_f,
     sample_nu,
 )
@@ -43,14 +41,12 @@ from .kde import (
     summarize,
 )
 from .model import (
-    AssumptionReport,
     ModelSpec,
     SampleMoments,
     SigmaDecomposition,
     decompose_sigma,
     sample_data_matrix,
     sample_mean_and_cov,
-    verify_assumptions,
 )
 from .products import (
     ProductKind,

@@ -4,6 +4,8 @@ Subcommands
 -----------
 simulate : run one Monte Carlo experiment, writing ``samples.csv``,
     ``kde.csv``, ``report.json`` and ``manifest.json`` into ``--out``.
+replay   : re-run the experiment a ``manifest.json`` records, like
+    ``simulate``.
 figure   : resolve a figure/panel of the simulation study into a config
     and behave like ``simulate`` (the KDE file gains a ``normal`` column
     with the standard normal overlay).
@@ -51,7 +53,7 @@ from .harness import (
     run_experiment,
     summarize_experiment,
 )
-from .kde import DEFAULT_KDE_GRID, GofReport
+from .kde import GofReport
 from .modelfile import load_model, nu_to_json, parse_nu, read_json
 from .products import ProductKind
 from .rng import BIT_GENERATOR
@@ -67,17 +69,11 @@ def _config_to_json(cfg: ExperimentConfig, normal_column: bool) -> dict:
     return {
         "p": cfg.p,
         "n": cfg.n,
-        "q": cfg.q,
-        "c": cfg.c,
         "n_reps": cfg.n_reps,
         "product": cfg.product.value,
         "nu": nu_to_json(cfg.nu),
         "master_seed": cfg.master_seed,
         "model_seed": cfg.model_seed,
-        "kde_grid": list(cfg.kde_grid),
-        "bandwidth_grid": None
-        if cfg.bandwidth_grid is None
-        else list(cfg.bandwidth_grid),
         "kde_normal_column": normal_column,
         "block_size": BLOCK_SIZE,
     }
@@ -105,7 +101,21 @@ def _manifest_int(doc: dict, name: str) -> int:
     return int(value)
 
 
+# Every key of a manifest config; a key outside them (such as the ``c``,
+# ``q``, ``kde_grid`` or ``bandwidth_grid`` of older manifests) may have
+# meant a run this version cannot make, so it is refused, not ignored.
+_MANIFEST_KEYS = {
+    "p", "n", "n_reps", "product", "nu", "master_seed", "model_seed",
+    "kde_normal_column", "block_size",
+}
+
+
 def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
+    unknown = sorted(doc.keys() - _MANIFEST_KEYS)
+    if unknown:
+        raise InvalidInputError(
+            f"manifest config has fields this version does not read: {', '.join(unknown)}"
+        )
     if doc.get("block_size") != BLOCK_SIZE:
         raise InvalidInputError(
             f"manifest block_size {doc.get('block_size')!r} does not match this "
@@ -116,17 +126,11 @@ def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
         fields = dict(
             p=_manifest_int(doc, "p"),
             n=_manifest_int(doc, "n"),
-            q=_manifest_int(doc, "q"),
-            c=float(doc["c"]),
             n_reps=_manifest_int(doc, "n_reps"),
             product=ProductKind(doc["product"]),
             nu=parse_nu(doc["nu"]),
             master_seed=_manifest_int(doc, "master_seed"),
             model_seed=_manifest_int(doc, "model_seed"),
-            kde_grid=tuple(doc.get("kde_grid", DEFAULT_KDE_GRID)),
-            bandwidth_grid=None
-            if doc.get("bandwidth_grid") is None
-            else tuple(map(float, doc["bandwidth_grid"])),
         )
     except KeyError as exc:
         raise InvalidInputError(f"manifest config is missing field {exc}") from exc
@@ -193,60 +197,41 @@ def _run_and_write(
 ) -> int:
     t0 = time.perf_counter()
     standardized = run_experiment(cfg, threads=threads)
-    report = summarize_experiment(standardized, cfg, threads=threads)
+    report = summarize_experiment(standardized, threads=threads)
     duration = time.perf_counter() - t0
     _write_outputs(Path(out), cfg, standardized, report, duration, normal_column)
     return 0
 
 
-# The run options that a manifest fixes, with their defaults. The simulate
-# parser leaves them unset when absent, so that a manifest replay can tell
-# an option given on the command line from a default.
-_RUN_DEFAULTS = dict(
-    p=None, n=None, q=10, c=None, product="cov", nu="tn", seed=None, nreps=100_000, model_seed=0
-)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.manifest is not None:
-        given = [name for name in _RUN_DEFAULTS if name in vars(args)]
-        if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise InvalidInputError(
-                f"--manifest fixes the run; these options would be ignored: {flags}"
-            )
-        doc = read_json(args.manifest, "manifest")
-        if not isinstance(doc, dict) or not all(
-            isinstance(doc.get(key, {}), dict) for key in ("config", "environment")
-        ):
-            raise InvalidInputError("manifest, config and environment must be JSON objects")
-        cfg, normal_column = _config_from_json(doc["config"])
-        written_with = doc.get("environment", {}).get("numpy")
-        if written_with != np.__version__:
-            logger.warning(
-                "manifest was written with numpy %s but this is numpy %s; numpy "
-                "does not promise identical random streams across versions, so "
-                "the replay may not be byte-identical",
-                written_with,
-                np.__version__,
-            )
-    else:
-        opt = {**_RUN_DEFAULTS, **vars(args)}
-        for name in ("p", "n", "seed"):
-            if opt[name] is None:
-                raise InvalidInputError(f"--{name} is required without --manifest")
-        cfg = ExperimentConfig(
-            p=opt["p"],
-            n=opt["n"],
-            q=opt["q"],
-            c=opt["c"] if opt["c"] is not None else opt["p"] / opt["n"],
-            n_reps=opt["nreps"],
-            product=ProductKind(opt["product"]),
-            nu=default_nu(opt["nu"], opt["q"]),
-            master_seed=opt["seed"],
-            model_seed=opt["model_seed"],
+    cfg = ExperimentConfig(
+        p=args.p,
+        n=args.n,
+        n_reps=args.nreps,
+        product=ProductKind(args.product),
+        nu=default_nu(args.nu, args.q),
+        master_seed=args.seed,
+        model_seed=args.model_seed,
+    )
+    return _run_and_write(cfg, args.out, args.threads, normal_column=False)
+
+
+def _cmd_replay(args: argparse.Namespace) -> int:
+    doc = read_json(args.manifest, "manifest")
+    if not isinstance(doc, dict) or not all(
+        isinstance(doc.get(key, {}), dict) for key in ("config", "environment")
+    ):
+        raise InvalidInputError("manifest, config and environment must be JSON objects")
+    cfg, normal_column = _config_from_json(doc["config"])
+    written_with = doc.get("environment", {}).get("numpy")
+    if written_with != np.__version__:
+        logger.warning(
+            "manifest was written with numpy %s but this is numpy %s; numpy "
+            "does not promise identical random streams across versions, so "
+            "the replay may not be byte-identical",
+            written_with,
+            np.__version__,
         )
-        normal_column = False
     return _run_and_write(cfg, args.out, args.threads, normal_column)
 
 
@@ -306,48 +291,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"locmix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def run_options(nreps, model_seed) -> argparse.ArgumentParser:
-        """Options shared by the two commands that run an experiment."""
-        run = argparse.ArgumentParser(add_help=False)
-        run.add_argument("--nreps", type=int, default=nreps, help="Monte Carlo replicates")
-        run.add_argument(
-            "--model-seed", type=int, default=model_seed, help="seed of the random model (default 0)"
-        )
-        run.add_argument("--out", required=True, help="output directory")
-        run.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="threads that draw and score the replicates, at least 1 (output is "
-            "independent of this)",
-        )
-        return run
+    # Where and how fast a run writes: every command that runs one.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", required=True, help="output directory")
+    output.add_argument(
+        "--threads",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="threads that draw and score the replicates, at least 1 (output is "
+        "independent of this)",
+    )
+    # The two commands that draw a new run also choose its size and model.
+    draws = argparse.ArgumentParser(add_help=False, parents=[output])
+    draws.add_argument("--nreps", type=int, default=100_000, help="Monte Carlo replicates")
+    draws.add_argument(
+        "--model-seed", type=int, default=0, help="seed of the random model (default 0)"
+    )
 
-    # Unset simulate options stay off the namespace; see _RUN_DEFAULTS.
     sim = sub.add_parser(
-        "simulate",
-        parents=[run_options(argparse.SUPPRESS, argparse.SUPPRESS)],
-        argument_default=argparse.SUPPRESS,
-        help="run one experiment and write its artifacts",
+        "simulate", parents=[draws], help="run one experiment and write its artifacts"
     )
-    sim.add_argument("--p", type=int, help="dimension")
-    sim.add_argument("--n", type=int, help="sample size")
-    sim.add_argument("--q", type=int, help="shift dimension (default 10)")
-    sim.add_argument("--c", type=float, help="aspect ratio (default p/n)")
+    sim.add_argument("--p", type=int, required=True, help="dimension")
+    sim.add_argument("--n", type=int, required=True, help="sample size")
+    sim.add_argument("--q", type=int, default=10, help="shift dimension (default 10)")
     sim.add_argument(
-        "--product", choices=["cov", "precision"], help="moment product (default cov)"
+        "--product",
+        choices=["cov", "precision"],
+        default="cov",
+        help="moment product (default cov)",
     )
-    sim.add_argument("--nu", choices=["tn", "gal"], help="mixing family (default tn)")
-    sim.add_argument("--seed", type=int, help="master seed for the replicates")
     sim.add_argument(
-        "--manifest", default=None, help="re-run the config stored in a manifest file"
+        "--nu", choices=["tn", "gal"], default="tn", help="mixing family (default tn)"
     )
+    sim.add_argument("--seed", type=int, required=True, help="master seed for the replicates")
     sim.set_defaults(func=_cmd_simulate)
 
+    rep = sub.add_parser(
+        "replay", parents=[output], help="re-run the experiment a manifest records"
+    )
+    rep.add_argument("manifest", help="manifest.json of an earlier run")
+    rep.set_defaults(func=_cmd_replay)
+
     fig = sub.add_parser(
-        "figure",
-        parents=[run_options(_RUN_DEFAULTS["nreps"], _RUN_DEFAULTS["model_seed"])],
-        help="reproduce one figure panel of the study",
+        "figure", parents=[draws], help="reproduce one figure panel of the study"
     )
     fig.add_argument("--figure", type=int, required=True, help="figure number 1..8")
     fig.add_argument("--panel", choices=["a", "b", "c", "d"], required=True)

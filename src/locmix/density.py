@@ -138,6 +138,8 @@ _MEMO_ENTRIES = 256
 # rounds take as many batches per pass as fit in this many point values,
 # so a round near the budget holds no more memory than one batch at a time.
 _PASS_MAX_VALUES = _N_BATCHES * _MEMO_MAX_VALUES
+# Largest round, in points over all 8 batches.
+_MAX_POINTS = 1 << 22
 
 
 def _sobol_points(d: int, seed: int, log2_m: int) -> NDArray:
@@ -171,7 +173,6 @@ def mvn_orthant_cdf(
     cov: NDArray,
     accuracy: float,
     rng: RngStream | None = None,
-    max_points: int = 1 << 22,
 ) -> float:
     """Probability that a N_q(mean, cov) vector is componentwise <= 0.
 
@@ -182,7 +183,8 @@ def mvn_orthant_cdf(
     ``2**k`` points per seed (k = 7, 8, ...) and evaluates the integrand
     once over all 8 batches (over fewer at a time once a batch holds more
     than 2**12 values), until the standard error of the 8 batch means
-    drops below ``accuracy``.
+    drops below ``accuracy``.  No round exceeds 2**22 points over its 8
+    batches.
 
     Point sets of at most 2**12 values (points times q - 1) are memoized
     on (q - 1, seed, round size), in an LRU of 256 arrays: at most 8 MiB.
@@ -199,16 +201,12 @@ def mvn_orthant_cdf(
     rng : RngStream, optional
         Source of the scrambling randomness; a fixed default stream is
         used when omitted, making repeated calls deterministic.
-    max_points : int
-        Largest round, in points over all 8 batches; at least the first
-        round, 8 * 2**7 = 1024.
 
     Raises
     ------
     InvalidInputError
-        If ``mean`` or ``cov`` has a NaN or infinite entry, ``accuracy``
-        is outside (0, 0.01], or ``max_points`` is not an integer of at
-        least 1024.
+        If ``mean`` or ``cov`` has a NaN or infinite entry, or
+        ``accuracy`` is outside (0, 0.01].
     NotPositiveDefiniteError
         If a diagonal entry of ``cov`` is not positive, or ``cov`` is
         numerically singular.
@@ -227,11 +225,6 @@ def mvn_orthant_cdf(
         raise InvalidDimensionError("mean must be nonempty and cov (q, q) matching it")
     if not 0.0 < accuracy <= 0.01:
         raise InvalidInputError("accuracy must lie in (0, 0.01]")
-    first_round = _N_BATCHES << _FIRST_LOG2_M
-    if not isinstance(max_points, (int, np.integer)) or max_points < first_round:
-        raise InvalidInputError(
-            f"max_points must be an integer of at least one round ({first_round} points)"
-        )
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise InvalidInputError("orthant mean and covariance must be finite")
     var = np.diag(cov)
@@ -258,7 +251,7 @@ def mvn_orthant_cdf(
         se = float(np.std(batch_means, ddof=1) / np.sqrt(_N_BATCHES))
         if se <= accuracy:
             return min(max(est, 0.0), 1.0)
-        if _N_BATCHES << (log2_m + 1) > max_points:
+        if _N_BATCHES << (log2_m + 1) > _MAX_POINTS:
             raise AccuracyNotMetError(
                 f"orthant probability reached standard error {se:.3e} "
                 f"(target {accuracy:.3e}) within the point budget",

@@ -36,13 +36,27 @@ def finite_array(value, name: str) -> NDArray:
     return arr
 
 
-def _spd_cholesky(mat: NDArray, name: str) -> NDArray:
-    """Lower Cholesky factor, raising a typed error when not SPD."""
-    arr = finite_array(mat, name)
+def symmetric_matrix(value, name: str) -> NDArray:
+    """``value`` as a square float array, symmetric to 1e-12 of its largest entry.
+
+    A non-square array raises InvalidDimensionError, an asymmetric one
+    InvalidInputError naming the relative asymmetry.
+    """
+    arr = np.asarray(value, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidDimensionError(f"{name} must be a square matrix")
-    if not np.allclose(arr, arr.T, rtol=1e-10, atol=1e-12):
-        raise NotPositiveDefiniteError(f"{name} is not symmetric", float("nan"))
+    scale = np.max(np.abs(arr), initial=0.0)
+    asym = np.max(np.abs(arr - arr.T), initial=0.0)
+    if asym > 1e-12 * scale:
+        raise InvalidInputError(
+            f"{name} is not symmetric (relative asymmetry {asym / scale:.3e})"
+        )
+    return arr
+
+
+def _spd_cholesky(mat: NDArray, name: str) -> NDArray:
+    """Lower Cholesky factor, raising a typed error when not SPD."""
+    arr = symmetric_matrix(finite_array(mat, name), name)
     try:
         return np.linalg.cholesky(arr)
     except np.linalg.LinAlgError:

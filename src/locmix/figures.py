@@ -53,8 +53,6 @@ def figure_config(
     return ExperimentConfig(
         p=p,
         n=n,
-        q=DEFAULT_Q,
-        c=fig["c"],
         n_reps=n_reps,
         product=ProductKind(fig["product"]),
         nu=default_nu(pan["family"], DEFAULT_Q),

@@ -31,7 +31,7 @@ from .distributions import (
     TruncatedNormalAbs,
 )
 from .errors import InvalidInputError, RegimeError
-from .kde import DEFAULT_KDE_GRID, GofReport, summarize
+from .kde import GofReport, summarize
 from .model import ModelSpec
 from .parallel import map_ranges
 from .products import (
@@ -55,61 +55,40 @@ BLOCK_SIZE = 4096
 class ExperimentConfig:
     """Fully resolved description of one Monte Carlo experiment.
 
-    ``c`` must match ``p/n`` up to ``n**-0.5``; the precision product
-    additionally needs ``p < n - 1``.  ``kde_grid`` is ``(lo, hi, points)``
-    with finite ``lo < hi`` and an integer ``points >= 2``.
-    ``bandwidth_grid`` holds finite positive candidates; ``None`` selects
-    the default data-driven candidate grid at scoring time.
+    The shift dimension ``q`` is that of ``nu``, and every replicate is
+    standardized at the aspect ratio ``c = p / n``.  The precision product
+    additionally needs ``p < n - 1``.
     """
 
     p: int
     n: int
-    q: int
-    c: float
     n_reps: int
     product: ProductKind
     nu: NuDistribution
     master_seed: int
     model_seed: int
-    kde_grid: tuple[float, float, int] = DEFAULT_KDE_GRID
-    bandwidth_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.p < 1 or self.n < 2 or self.q < 1:
             raise InvalidInputError("p, q must be >= 1 and n >= 2")
         if self.n_reps < 100:
             raise InvalidInputError("n_reps must be >= 100")
-        if abs(self.p / self.n - self.c) > self.n**-0.5:
-            raise InvalidInputError(
-                f"c={self.c} is not within n^-1/2 of p/n={self.p / self.n:.6g}"
-            )
         if self.product is ProductKind.PRECISION_TIMES_MEAN and self.p >= self.n - 1:
             raise RegimeError("precision product needs p < n - 1")
-        if self.nu.q != self.q:
-            raise InvalidInputError("mixing law dimension must equal q")
-        grid = self.kde_grid
-        if not (
-            len(grid) == 3
-            and isinstance(grid[2], (int, np.integer))
-            and grid[2] >= 2
-            and np.all(np.isfinite(grid[:2]))
-            and grid[0] < grid[1]
-        ):
-            raise InvalidInputError(
-                "kde_grid must be (lo, hi, points) with finite lo < hi and an "
-                f"integer points >= 2 (got {list(grid)})"
-            )
-        if self.bandwidth_grid is not None:
-            bw = np.asarray(self.bandwidth_grid, dtype=float)
-            if not (bw.ndim == 1 and bw.size and np.all(np.isfinite(bw) & (bw > 0))):
-                raise InvalidInputError(
-                    "bandwidth_grid must be a nonempty list of finite positive "
-                    f"bandwidths (got {list(self.bandwidth_grid)})"
-                )
+
+    @property
+    def q(self) -> int:
+        return self.nu.q
+
+    @property
+    def c(self) -> float:
+        return self.p / self.n
 
 
 def default_nu(family: str, q: int) -> NuDistribution:
     """The two mixing laws of the simulation study, by short name."""
+    if q < 1:
+        raise InvalidInputError(f"q must be >= 1 (got {q})")
     if family == "tn":
         return TruncatedNormalAbs(np.eye(q))
     if family == "gal":
@@ -188,13 +167,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> NDArray:
     return map_ranges(partial(_draw_range, cfg, cache), n_blocks, threads)
 
 
-def summarize_experiment(
-    standardized: NDArray, cfg: ExperimentConfig, *, threads: int = 1
-) -> GofReport:
-    """Score a finished experiment with the config's grids on ``threads`` threads."""
-    lo, hi, points = cfg.kde_grid
-    grid = np.linspace(lo, hi, points)
-    bw_grid = None if cfg.bandwidth_grid is None else np.asarray(cfg.bandwidth_grid)
-    return summarize(
-        standardized, kde_grid=grid, bandwidth_grid=bw_grid, threads=threads
-    )
+def summarize_experiment(standardized: NDArray, *, threads: int = 1) -> GofReport:
+    """Score a finished experiment on ``threads`` threads: :func:`~locmix.kde.summarize`."""
+    return summarize(standardized, threads=threads)

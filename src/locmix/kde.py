@@ -290,21 +290,20 @@ class GofReport:
 def summarize(
     samples: NDArray,
     *,
-    kde_grid: NDArray | None = None,
     bandwidth_grid: NDArray | None = None,
     threads: int = 1,
 ) -> GofReport:
     """Cross-validated KDE plus distance and moment summaries.
 
-    Defaults: KDE grid :data:`DEFAULT_KDE_GRID` (201 points on [-4, 4])
-    and the standard log-spaced bandwidth candidates.  ``threads`` threads
-    score the candidates; the report is identical for every value.
+    The KDE is evaluated on :data:`DEFAULT_KDE_GRID` (201 points on
+    [-4, 4]); the bandwidth candidates default to the standard log-spaced
+    grid.  ``threads`` threads score the candidates; the report is
+    identical for every value.
     """
     samples = np.asarray(samples, dtype=float).reshape(-1)
     if samples.size < 2:
         raise InvalidInputError("need at least two samples to summarize")
-    if kde_grid is None:
-        kde_grid = np.linspace(*DEFAULT_KDE_GRID)
+    kde_grid = np.linspace(*DEFAULT_KDE_GRID)
     if bandwidth_grid is None:
         bandwidth_grid = default_bandwidth_grid(samples)
     bandwidth_grid = np.asarray(bandwidth_grid, dtype=float)
@@ -317,7 +316,7 @@ def summarize(
     return GofReport(
         bandwidth=bandwidth,
         bandwidth_on_grid_edge=bandwidth in (bandwidth_grid.min(), bandwidth_grid.max()),
-        kde_x=np.asarray(kde_grid, dtype=float),
+        kde_x=kde_grid,
         kde_density=density,
         ks_statistic=ks_statistic(samples),
         mean=mean,

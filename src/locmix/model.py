@@ -18,12 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .distributions import NuDistribution, finite_array, sample_nu
-from .errors import (
-    InvalidDimensionError,
-    InvalidInputError,
-    NotPositiveDefiniteError,
-)
+from .distributions import NuDistribution, finite_array, sample_nu, symmetric_matrix
+from .errors import InvalidDimensionError, NotPositiveDefiniteError
 from .rng import RngStream
 
 
@@ -128,19 +124,11 @@ def decompose_sigma(sigma: NDArray) -> SigmaDecomposition:
         If the smallest eigenvalue is not strictly positive; the error
         carries that eigenvalue.
     InvalidInputError
-        If the input is not symmetric to 1e-12 relative accuracy.
+        If the input is not symmetric (see :func:`symmetric_matrix`).
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise InvalidDimensionError("sigma must be a square matrix")
-    scale = np.max(np.abs(sigma))
-    if scale == 0.0:
+    sigma = symmetric_matrix(sigma, "sigma")
+    if not sigma.any():
         raise NotPositiveDefiniteError("sigma is the zero matrix", 0.0)
-    asym = np.max(np.abs(sigma - sigma.T))
-    if asym > 1e-12 * scale:
-        raise InvalidInputError(
-            f"sigma is not symmetric (relative asymmetry {asym / scale:.3e})"
-        )
     p = sigma.shape[0]
     diag = np.diag(sigma)
     if np.count_nonzero(sigma - np.diag(diag)) == 0:

@@ -156,17 +156,7 @@ def test_criterion_10_reproducibility(tmp_path):
         "--threads", "1",
     ]
     assert cli_main(args) == 0
-    assert (
-        cli_main(
-            [
-                "simulate",
-                "--manifest", str(out1 / "manifest.json"),
-                "--out", str(out2),
-                "--threads", "3",
-            ]
-        )
-        == 0
-    )
+    assert cli_main(["replay", str(out1 / "manifest.json"), "--out", str(out2), "--threads", "3"]) == 0
     same_samples = (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
     same_kde = (out1 / "kde.csv").read_bytes() == (out2 / "kde.csv").read_bytes()
     r1 = json.loads((out1 / "report.json").read_text())

@@ -101,7 +101,7 @@ def test_simulate_writes_artifacts(tmp_path):
     }
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["p"] == 10
-    assert manifest["config"]["c"] == pytest.approx(10 / 60)
+    assert manifest["config"].keys() == cli._MANIFEST_KEYS
 
 
 def test_samples_roundtrip_17_digits(tmp_path):
@@ -135,15 +135,7 @@ def test_simulate_byte_identical_and_thread_independent(tmp_path):
 def test_manifest_replay(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_cli(*simulate_args(out1))
-    assert (
-        run_cli(
-            "simulate",
-            "--manifest", str(out1 / "manifest.json"),
-            "--out", str(out2),
-            "--threads", "2",
-        )
-        == 0
-    )
+    assert run_cli("replay", str(out1 / "manifest.json"), "--out", str(out2), "--threads", "2") == 0
     assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
     assert (out1 / "kde.csv").read_bytes() == (out2 / "kde.csv").read_bytes()
     r1 = json.loads((out1 / "report.json").read_text())
@@ -167,8 +159,18 @@ def test_simulate_regime_violation_exit_3(tmp_path):
 
 
 def test_simulate_missing_required_exit_2(tmp_path):
-    code = run_cli("simulate", "--n", "20", "--seed", "1", "--out", str(tmp_path / "x"))
-    assert code == 2
+    with pytest.raises(SystemExit) as err:
+        run_cli("simulate", "--n", "20", "--seed", "1", "--out", str(tmp_path / "x"))
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("q", ["0", "-1"])
+def test_simulate_q_below_one_exit_2(tmp_path, capsys, q):
+    out = tmp_path / "x"
+    args = ("--p", "5", "--n", "20", "--q", q, "--nreps", "200", "--seed", "1")
+    assert run_cli("simulate", *args, "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: q must be >= 1 (got %s)" % q]
+    assert not (out / "samples.csv").exists()
 
 
 def test_bad_flag_exit_2(tmp_path):
@@ -206,7 +208,6 @@ def test_figure_command(tmp_path):
     assert manifest["config"]["p"] == 250
     assert manifest["config"]["n"] == 500
     assert manifest["config"]["product"] == "cov"
-    assert manifest["config"]["c"] == 0.5
 
 
 def test_figure_unknown_exit_2(tmp_path):
@@ -224,12 +225,7 @@ def test_figure_manifest_replay_keeps_normal_column(tmp_path):
         "--out", str(out1),
         "--threads", "1",
     )
-    run_cli(
-        "simulate",
-        "--manifest", str(out1 / "manifest.json"),
-        "--out", str(out2),
-        "--threads", "1",
-    )
+    run_cli("replay", str(out1 / "manifest.json"), "--out", str(out2), "--threads", "1")
     assert (out1 / "kde.csv").read_bytes() == (out2 / "kde.csv").read_bytes()
 
 
@@ -409,11 +405,29 @@ def test_verify_failing_check_exit_1(monkeypatch, capsys):
 
 def test_manifest_missing_field_exit_2(tmp_path):
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"config": {"p": 10, "n": 60}}))
-    code = run_cli(
-        "simulate", "--manifest", str(manifest), "--out", str(tmp_path / "x")
-    )
-    assert code == 2
+    manifest.write_text(json.dumps({"config": {"p": 10, "n": 60, "block_size": 4096}}))
+    assert run_cli("replay", str(manifest), "--out", str(tmp_path / "x")) == 2
+
+
+def test_replay_older_manifest_names_retired_fields(tmp_path, monkeypatch, capsys):
+    # Manifests that still hold c, q and the grids were written before
+    # those became derived or fixed; they might have meant another run.
+    run_cli(*simulate_args(tmp_path / "a"))
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    retired = {"q": 3, "c": 10 / 60, "kde_grid": [-4.0, 4.0, 201], "bandwidth_grid": None}
+    manifest["config"].update(retired)
+    (tmp_path / "old.json").write_text(json.dumps(manifest))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("replicates were drawn from an older manifest")
+
+    monkeypatch.setattr(cli, "run_experiment", no_draw)
+    capsys.readouterr()
+    assert run_cli("replay", str(tmp_path / "old.json"), "--out", str(tmp_path / "b")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: manifest config has fields this version does not read: "
+        "bandwidth_grid, c, kde_grid, q"
+    ]
 
 
 TINY_MODEL = {
@@ -443,20 +457,29 @@ def test_density_infinite_model_exit_2(tmp_path):
 
 
 def test_density_asymmetric_sigma_exit_2(tmp_path, capsys):
-    sigma = {"dense": [[1, 0.3], [0.2, 1]]}
-    model = dict(TINY_MODEL, mu=[0.0, 0.0], sigma=sigma, b=[[0.5], [0.5]])
-    args = write_density_inputs(tmp_path, json.dumps(model), "0.5,1.25\n0.1,-0.2\n")
-    assert run_cli(*args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: sigma is not symmetric") and len(err.strip().splitlines()) == 1
+    # Sigma and Omega share one symmetry rule, so one message.
+    asym = {"dense": [[1, 0.3], [0.3 + 5e-11, 1]]}
+    identity = {"diag": [1, 1]}
+    for field in ("sigma", "omega"):
+        model = dict(TINY_MODEL, mu=[0.0, 0.0], sigma=identity, b=[[0.5, 0], [0.5, 1]])
+        model["nu"] = {"kind": "truncated_normal_abs", "omega": identity}
+        if field == "sigma":
+            model["sigma"] = asym
+        else:
+            model["nu"]["omega"] = asym
+        args = write_density_inputs(tmp_path, json.dumps(model), "0.5,1.25\n0.1,-0.2\n")
+        assert run_cli(*args) == 2
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: ")
+        assert err.endswith(f"{field} is not symmetric (relative asymmetry 5.000e-11)")
 
 
-@pytest.mark.parametrize("command", ["simulate", "density"])
+@pytest.mark.parametrize("command", ["replay", "density"])
 def test_non_utf8_json_file_exit_2(tmp_path, capsys, command):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff{}")
-    if command == "simulate":
-        args = ("simulate", "--manifest", str(bad), "--out", str(tmp_path / "out"))
+    if command == "replay":
+        args = ("replay", str(bad), "--out", str(tmp_path / "out"))
     else:
         (tmp_path / "data.csv").write_text("0.5,1.25\n")
         args = ("density", "--model", str(bad), "--data", str(tmp_path / "data.csv"))
@@ -518,10 +541,7 @@ def test_manifest_replay_other_block_size_exit_2(tmp_path, capsys, block_size):
         manifest["config"]["block_size"] = block_size
     (tmp_path / "old.json").write_text(json.dumps(manifest))
     capsys.readouterr()
-    code = run_cli(
-        "simulate", "--manifest", str(tmp_path / "old.json"), "--out", str(tmp_path / "x")
-    )
-    assert code == 2
+    assert run_cli("replay", str(tmp_path / "old.json"), "--out", str(tmp_path / "x")) == 2
     assert "stream contract" in capsys.readouterr().err
 
 
@@ -531,7 +551,7 @@ def test_manifest_replay_other_numpy_warns(tmp_path, caplog):
     manifest = json.loads((out1 / "manifest.json").read_text())
     manifest["environment"]["numpy"] = "0.0.1"
     (tmp_path / "old.json").write_text(json.dumps(manifest))
-    replay = ("simulate", "--manifest", str(tmp_path / "old.json"), "--out", str(out2))
+    replay = ("replay", str(tmp_path / "old.json"), "--out", str(out2))
     with caplog.at_level("WARNING", logger="locmix.cli"):
         assert run_cli(*replay) == 0
     assert any("numpy 0.0.1" in r.getMessage() for r in caplog.records)
@@ -539,7 +559,7 @@ def test_manifest_replay_other_numpy_warns(tmp_path, caplog):
 
     caplog.clear()
     with caplog.at_level("WARNING", logger="locmix.cli"):
-        run_cli("simulate", "--manifest", str(out1 / "manifest.json"), "--out", str(out2))
+        run_cli("replay", str(out1 / "manifest.json"), "--out", str(out2))
     assert not caplog.records
 
 
@@ -574,6 +594,7 @@ def test_negative_seed_exit_2(tmp_path, capsys, flag, value):
     [
         ("p", "x"),
         ("product", "foo"),
+        # Retired fields are refused whatever their value.
         ("kde_grid", [1, 2]),
         ("kde_grid", [-4, 4, 201.5]),
         ("p", 10.7),
@@ -600,8 +621,7 @@ def test_manifest_malformed_field_exit_2(tmp_path, monkeypatch, field, value):
     # Rejected before any replicate is drawn.
     monkeypatch.setattr(cli, "run_experiment", no_draw)
     out = tmp_path / "b"
-    code = run_cli("simulate", "--manifest", str(tmp_path / "bad.json"), "--out", str(out))
-    assert code == 2
+    assert run_cli("replay", str(tmp_path / "bad.json"), "--out", str(out)) == 2
     assert not (out / "samples.csv").exists()
 
 
@@ -624,9 +644,7 @@ def test_manifest_not_an_object_exit_2(tmp_path, monkeypatch, capsys, make_doc):
 
     monkeypatch.setattr(cli, "run_experiment", no_draw)
     capsys.readouterr()
-    code = run_cli(
-        "simulate", "--manifest", str(tmp_path / "bad.json"), "--out", str(tmp_path / "b")
-    )
+    code = run_cli("replay", str(tmp_path / "bad.json"), "--out", str(tmp_path / "b"))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
@@ -649,7 +667,8 @@ def test_manifest_not_an_object_exit_2(tmp_path, monkeypatch, capsys, make_doc):
     ids=lambda option: " ".join(option),
 )
 def test_manifest_with_run_option_exit_2(tmp_path, monkeypatch, capsys, option):
-    # Values equal to the defaults count too: the manifest would override them.
+    # The manifest fixes the run: replay takes no run option, not even
+    # one equal to the manifest's value, and names each one it refuses.
     run_cli(*simulate_args(tmp_path / "a"))
 
     def no_draw(*args, **kwargs):
@@ -659,11 +678,12 @@ def test_manifest_with_run_option_exit_2(tmp_path, monkeypatch, capsys, option):
     capsys.readouterr()
     manifest = str(tmp_path / "a" / "manifest.json")
     out = tmp_path / "b"
-    code = run_cli("simulate", "--manifest", manifest, *option, "--out", str(out))
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-    assert all(flag in err for flag in option if flag.startswith("--"))
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("replay", manifest, *option, "--out", str(out))
+    err = capsys.readouterr().err.splitlines()
+    assert exit_.value.code == 2
+    assert "error: unrecognized arguments: " in err[-1]
+    assert all(flag in err[-1] for flag in option if flag.startswith("--"))
     assert not (out / "samples.csv").exists()
 
 

@@ -194,22 +194,11 @@ def test_orthant_non_finite_input(no_sobol, q, where, bad):
         mvn_orthant_cdf(mean, cov, 1e-3)
 
 
-@pytest.mark.parametrize("max_points", [0, -5, 2.5, 1023, 1024.0, "4096"])
-def test_orthant_rejects_bad_max_points(no_sobol, max_points):
-    # A budget below the first round of 8 x 2^7 points cannot be kept, so
-    # it is refused before any QMC runs.
-    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-    with pytest.raises(InvalidInputError, match="max_points"):
-        mvn_orthant_cdf(np.zeros(2), cov, 1e-3, max_points=max_points)
-
-
-def test_orthant_accepts_one_round_budget():
+def test_orthant_accepts_one_round_budget(monkeypatch):
+    monkeypatch.setattr(density, "_MAX_POINTS", 8 << 7)
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     target = 0.25 + np.arcsin(0.5) / (2 * np.pi)
-    for budget in (1024, np.int64(1024)):
-        assert mvn_orthant_cdf(np.zeros(2), cov, 1e-2, max_points=budget) == pytest.approx(
-            target, abs=1e-3
-        )
+    assert mvn_orthant_cdf(np.zeros(2), cov, 1e-2) == pytest.approx(target, abs=1e-3)
 
 
 def _per_batch_orthant(mean, cov, accuracy, rng=None):
@@ -276,25 +265,27 @@ def test_log_density_threads_share_the_memo():
     assert runs == [serial] * 4
 
 
-def test_orthant_memo_skips_large_rounds():
+def test_orthant_memo_skips_large_rounds(monkeypatch):
     # q = 6 through rounds 2^7 .. 2^12 per batch: only the rounds of at
     # most _MEMO_MAX_VALUES values are memoized.
+    monkeypatch.setattr(density, "_MAX_POINTS", 8 << 12)
     mean, cov = _correlated(6, 3)
     density._memo_sobol_points.cache_clear()
     with pytest.raises(AccuracyNotMetError):
-        mvn_orthant_cdf(mean, cov, 1e-12, max_points=8 << 12)
+        mvn_orthant_cdf(mean, cov, 1e-12)
     small = [k for k in range(7, 13) if 5 << k <= density._MEMO_MAX_VALUES]
     assert 0 < len(small) < 6
     assert density._memo_sobol_points.cache_info().currsize == 8 * len(small)
 
 
-def test_orthant_accuracy_not_met():
+def test_orthant_accuracy_not_met(monkeypatch):
+    monkeypatch.setattr(density, "_MAX_POINTS", 4096)
     gen = np.random.default_rng(9)
     a = gen.standard_normal((6, 6))
     cov = a @ a.T + 0.05 * np.eye(6)
     mean = gen.uniform(-1, 1, 6)
     with pytest.raises(AccuracyNotMetError) as err:
-        mvn_orthant_cdf(mean, cov, 1e-9, rng=RngStream(42, 0), max_points=4096)
+        mvn_orthant_cdf(mean, cov, 1e-9, rng=RngStream(42, 0))
     assert err.value.achieved > 0
 
 

@@ -7,13 +7,12 @@ from locmix import (
     GeneralizedAsymmetricLaplace,
     RngStream,
     TruncatedNormalAbs,
-    nu_cov,
     nu_mean,
     sample_chi_squared,
-    sample_noncentral_chi_squared,
     sample_noncentral_f,
     sample_nu,
 )
+from locmix.distributions import nu_cov, sample_noncentral_chi_squared
 from locmix.errors import InvalidDimensionError, InvalidInputError, NotPositiveDefiniteError
 
 

@@ -3,9 +3,9 @@ import sys
 import numpy as np
 import pytest
 
-from locmix import ProductKind, verify_assumptions
+from locmix import Degenerate, ProductKind
 from locmix.errors import InvalidInputError, RegimeError
-from locmix.figures import figure_config
+from locmix.figures import FIGURE_TABLE, PANEL_TABLE, figure_config
 import locmix.harness as harness
 from locmix.harness import (
     BLOCK_SIZE,
@@ -15,15 +15,14 @@ from locmix.harness import (
     run_experiment,
     summarize_experiment,
 )
-from locmix.kde import ks_statistic
+from locmix.kde import DEFAULT_KDE_GRID, default_bandwidth_grid, ks_statistic
+from locmix.model import verify_assumptions
 
 
 def small_config(**overrides):
     base = dict(
         p=20,
         n=100,
-        q=5,
-        c=0.2,
         n_reps=2000,
         product=ProductKind.COV_TIMES_MEAN,
         nu=default_nu("tn", 5),
@@ -60,27 +59,10 @@ def test_generated_model_satisfies_boundedness():
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         small_config(n_reps=50)
-    with pytest.raises(InvalidInputError):
-        small_config(c=0.9)
     with pytest.raises(RegimeError):
-        small_config(p=99, c=0.99, product=ProductKind.PRECISION_TIMES_MEAN)
-    with pytest.raises(InvalidInputError):
-        small_config(nu=default_nu("tn", 4))
-
-
-@pytest.mark.parametrize(
-    "grid",
-    [(1.0, 2.0), (-4.0, 4.0, 201.5), (4.0, -4.0, 201), (-4.0, 4.0, 1), (-np.inf, 4.0, 201)],
-)
-def test_config_rejects_malformed_kde_grid(grid):
-    with pytest.raises(InvalidInputError):
-        small_config(kde_grid=grid)
-
-
-@pytest.mark.parametrize("grid", [(), (0.1, -0.2), (0.0,), (0.1, np.nan), (0.1, np.inf)])
-def test_config_rejects_malformed_bandwidth_grid(grid):
-    with pytest.raises(InvalidInputError):
-        small_config(bandwidth_grid=grid)
+        small_config(p=99, product=ProductKind.PRECISION_TIMES_MEAN)
+    with pytest.raises(InvalidInputError, match="q must be >= 1"):
+        small_config(nu=Degenerate(np.zeros(0)))
 
 
 def test_default_nu_unknown_family():
@@ -149,13 +131,11 @@ def test_precision_experiment_runs():
     assert np.all(np.isfinite(sample))
 
 
-def test_summarize_experiment_uses_config_grid():
-    cfg = small_config(kde_grid=(-3.0, 3.0, 61), bandwidth_grid=(0.2, 0.3, 0.5))
-    sample = run_experiment(cfg)
-    report = summarize_experiment(sample, cfg)
-    assert report.kde_x.shape == (61,)
-    assert report.kde_x[0] == -3.0
-    assert report.bandwidth in (0.2, 0.3, 0.5)
+def test_summarize_experiment_scores_on_default_grids():
+    sample = run_experiment(small_config())
+    report = summarize_experiment(sample)
+    np.testing.assert_array_equal(report.kde_x, np.linspace(*DEFAULT_KDE_GRID))
+    assert report.bandwidth in default_bandwidth_grid(sample)
 
 
 def test_figure_table_resolution():
@@ -171,6 +151,10 @@ def test_figure_table_resolution():
     assert isinstance(cfg.nu, GeneralizedAsymmetricLaplace)
     cfg = figure_config(4, "b", n_reps=1000)
     assert (cfg.p, cfg.n, cfg.c) == (950, 1000, 0.95)
+    # Every panel standardizes at exactly its figure's c.
+    for figure, row in FIGURE_TABLE.items():
+        for panel in PANEL_TABLE:
+            assert figure_config(figure, panel, n_reps=1000).c == row["c"]
     with pytest.raises(InvalidInputError):
         figure_config(9, "a")
     with pytest.raises(InvalidInputError):

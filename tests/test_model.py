@@ -11,9 +11,9 @@ from locmix import (
     sample_data_matrix,
     sample_mean_and_cov,
     sample_nu,
-    verify_assumptions,
 )
 from locmix.distributions import nu_mean
+from locmix.model import verify_assumptions
 from locmix.errors import (
     InvalidDimensionError,
     InvalidInputError,
