@@ -65,14 +65,15 @@ def limit_moments(
 
 
 def standardize(
-    values: NDArray, nus: NDArray, cache: QuadraticCache, c: float, n: int, kind: ProductKind
+    values: NDArray, nus: NDArray, cache: QuadraticCache, n: int, kind: ProductKind
 ) -> NDArray:
     """Centre and scale raw product draws with each draw's own shift.
 
-    ``values`` (N,) are raw draws and ``nus`` (N, q) the shifts they were
-    drawn under.  Each draw is mapped to ``sqrt(n) * (value - centre(nu))
-    / sd(nu)``, which is asymptotically standard normal.  The centres and
-    variances cost O(q^2) per draw and never touch a p-vector.
+    ``values`` (N,) are raw draws of sample size ``n`` and ``nus`` (N, q)
+    the shifts they were drawn under.  Each draw is mapped to ``sqrt(n) *
+    (value - centre(nu)) / sd(nu)`` at the plug-in ratio ``c = p / n``,
+    which is asymptotically standard normal.  The centres and variances
+    cost O(q^2) per draw and never touch a p-vector.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size == 0:
@@ -80,5 +81,5 @@ def standardize(
     nus = np.asarray(nus, dtype=float).reshape(values.size, -1)
     if cache.l_is_zero:
         raise ZeroVectorError("standardization is undefined for l = 0 (zero variance)")
-    center, variance = limit_moments(cache, c, nus, kind)
+    center, variance = limit_moments(cache, cache.p / n, nus, kind)
     return np.sqrt(n) * (values - center) / np.sqrt(variance)

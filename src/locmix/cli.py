@@ -29,6 +29,7 @@ import platform
 import sys
 import time
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -253,7 +254,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     doc = {
         "suite": args.suite,
         "seed": args.seed,
-        "checks": [r.as_dict() for r in results],
+        "checks": [asdict(r) for r in results],
         "passed": all(r.passed for r in results),
     }
     print(json.dumps(doc, indent=2))

@@ -53,7 +53,7 @@ from .model import ModelSpec, decompose_sigma
 from .rng import RngStream
 
 _LOG_2PI = np.log(2.0 * np.pi)
-# Standard error asked of every orthant probability of the density.
+# Standard error asked of every orthant probability.
 _ORTHANT_SE = 1e-6
 
 
@@ -168,12 +168,7 @@ def _new_sobol_points(d: int, seed: int, log2_m: int) -> NDArray:
 _memo_sobol_points = functools.lru_cache(maxsize=_MEMO_ENTRIES)(_new_sobol_points)
 
 
-def mvn_orthant_cdf(
-    mean: NDArray,
-    cov: NDArray,
-    accuracy: float,
-    rng: RngStream | None = None,
-) -> float:
+def mvn_orthant_cdf(mean: NDArray, cov: NDArray, rng: RngStream | None = None) -> float:
     """Probability that a N_q(mean, cov) vector is componentwise <= 0.
 
     Exact in closed form, ``prod(Phi(-mean / sqrt(diag(cov))))``, when
@@ -183,8 +178,8 @@ def mvn_orthant_cdf(
     ``2**k`` points per seed (k = 7, 8, ...) and evaluates the integrand
     once over all 8 batches (over fewer at a time once a batch holds more
     than 2**12 values), until the standard error of the 8 batch means
-    drops below ``accuracy``.  No round exceeds 2**22 points over its 8
-    batches.
+    drops below :data:`_ORTHANT_SE`.  No round exceeds 2**22 points over
+    its 8 batches.
 
     Point sets of at most 2**12 values (points times q - 1) are memoized
     on (q - 1, seed, round size), in an LRU of 256 arrays: at most 8 MiB.
@@ -196,8 +191,6 @@ def mvn_orthant_cdf(
 
     Parameters
     ----------
-    accuracy : float
-        Target standard error, in (0, 0.01].
     rng : RngStream, optional
         Source of the scrambling randomness; a fixed default stream is
         used when omitted, making repeated calls deterministic.
@@ -205,8 +198,7 @@ def mvn_orthant_cdf(
     Raises
     ------
     InvalidInputError
-        If ``mean`` or ``cov`` has a NaN or infinite entry, or
-        ``accuracy`` is outside (0, 0.01].
+        If ``mean`` or ``cov`` has a NaN or infinite entry.
     NotPositiveDefiniteError
         If a diagonal entry of ``cov`` is not positive, or ``cov`` is
         numerically singular.
@@ -223,8 +215,6 @@ def mvn_orthant_cdf(
     q = mean.shape[0]
     if q == 0 or cov.shape != (q, q):
         raise InvalidDimensionError("mean must be nonempty and cov (q, q) matching it")
-    if not 0.0 < accuracy <= 0.01:
-        raise InvalidInputError("accuracy must lie in (0, 0.01]")
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise InvalidInputError("orthant mean and covariance must be finite")
     var = np.diag(cov)
@@ -249,12 +239,12 @@ def mvn_orthant_cdf(
         batch_means = np.concatenate(means)
         est = float(np.mean(batch_means))
         se = float(np.std(batch_means, ddof=1) / np.sqrt(_N_BATCHES))
-        if se <= accuracy:
+        if se <= _ORTHANT_SE:
             return min(max(est, 0.0), 1.0)
         if _N_BATCHES << (log2_m + 1) > _MAX_POINTS:
             raise AccuracyNotMetError(
                 f"orthant probability reached standard error {se:.3e} "
-                f"(target {accuracy:.3e}) within the point budget",
+                f"(target {_ORTHANT_SE:.3e}) within the point budget",
                 se,
             )
         log2_m += 1
@@ -312,7 +302,7 @@ def build_workspace(model: ModelSpec, n: int) -> DensityWorkspace:
         + 2.0 * np.sum(np.log(np.diag(omega_chol)))
         + 2.0 * np.sum(np.log(np.abs(np.diag(r))))
     )
-    log_c = np.log(mvn_orthant_cdf(np.zeros(model.q), model.nu.omega, _ORTHANT_SE))
+    log_c = np.log(mvn_orthant_cdf(np.zeros(model.q), model.nu.omega))
     return DensityWorkspace(
         mu=model.mu,
         n=n,
@@ -359,7 +349,7 @@ def log_density(workspace: DensityWorkspace, z: NDArray) -> float:
     if not ws.white_b.any():
         # Zero loading: the orthant factor equals the normalizer exactly.
         return log_phi
-    prob = mvn_orthant_cdf(-nu_hat, ws.d_matrix, _ORTHANT_SE)
+    prob = mvn_orthant_cdf(-nu_hat, ws.d_matrix)
     if prob == 0.0:
         # The data are finite, so the true probability is positive.
         raise AccuracyNotMetError(

@@ -35,11 +35,7 @@ PANEL_TABLE: dict[str, dict] = {
 
 
 def figure_config(
-    figure: int,
-    panel: str,
-    n_reps: int = 100_000,
-    master_seed: int = 0,
-    model_seed: int = 0,
+    figure: int, panel: str, *, n_reps: int, master_seed: int, model_seed: int
 ) -> ExperimentConfig:
     """Resolve a figure/panel pair into a runnable experiment config."""
     if figure not in FIGURE_TABLE:

@@ -69,20 +69,12 @@ class ExperimentConfig:
     model_seed: int
 
     def __post_init__(self):
-        if self.p < 1 or self.n < 2 or self.q < 1:
+        if self.p < 1 or self.n < 2 or self.nu.q < 1:
             raise InvalidInputError("p, q must be >= 1 and n >= 2")
         if self.n_reps < 100:
             raise InvalidInputError("n_reps must be >= 100")
         if self.product is ProductKind.PRECISION_TIMES_MEAN and self.p >= self.n - 1:
             raise RegimeError("precision product needs p < n - 1")
-
-    @property
-    def q(self) -> int:
-        return self.nu.q
-
-    @property
-    def c(self) -> float:
-        return self.p / self.n
 
 
 def default_nu(family: str, q: int) -> NuDistribution:
@@ -96,19 +88,18 @@ def default_nu(family: str, q: int) -> NuDistribution:
     raise InvalidInputError(f"unknown mixing family {family!r} (expected 'tn' or 'gal')")
 
 
-def generate_paper_model(
-    p: int, q: int, model_seed: int, nu: NuDistribution | None = None
-) -> ModelSpec:
-    """Random model of the simulation study, deterministic in its seed.
+def generate_paper_model(p: int, nu: NuDistribution, model_seed: int) -> ModelSpec:
+    """Random model of the simulation study with mixing law ``nu``.
 
-    Mean entries are Uniform[-1, 1], loading entries Uniform[0, 1], and
-    the covariance is diagonal with Uniform[0, 1] entries; diagonal
-    entries below 1e-6 are resampled (the spectrum must stay bounded away
-    from zero) and the event is logged.  Draw order: mu, b, diagonal.
+    Deterministic in its seed.  The loading has ``nu.q`` columns.  Mean
+    entries are Uniform[-1, 1], loading entries Uniform[0, 1], and the
+    covariance is diagonal with Uniform[0, 1] entries; diagonal entries
+    below 1e-6 are resampled (the spectrum must stay bounded away from
+    zero) and the event is logged.  Draw order: mu, b, diagonal.
     """
     gen = RngStream(model_seed, 0).generator
     mu = gen.uniform(-1.0, 1.0, size=p)
-    b = gen.uniform(0.0, 1.0, size=(p, q))
+    b = gen.uniform(0.0, 1.0, size=(p, nu.q))
     diag = gen.uniform(0.0, 1.0, size=p)
     n_resampled = 0
     while np.any(diag < _MIN_SIGMA_ENTRY):
@@ -121,8 +112,6 @@ def generate_paper_model(
             n_resampled,
             _MIN_SIGMA_ENTRY,
         )
-    if nu is None:
-        nu = TruncatedNormalAbs(np.eye(q))
     return ModelSpec(mu=mu, sigma=np.diag(diag), b=b, nu=nu)
 
 
@@ -147,7 +136,7 @@ def _draw_range(
         count = min(BLOCK_SIZE, out.size - start)
         rng = RngStream(cfg.master_seed, block)
         values, nus = sampler(cache, cfg.n, rng, count)
-        z = standardize(values, nus, cache, cfg.c, cfg.n, cfg.product)
+        z = standardize(values, nus, cache, cfg.n, cfg.product)
         out[start : start + count] = z
     return out
 
@@ -161,7 +150,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> NDArray:
     """
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1 (got {threads})")
-    model = generate_paper_model(cfg.p, cfg.q, cfg.model_seed, nu=cfg.nu)
+    model = generate_paper_model(cfg.p, cfg.nu, cfg.model_seed)
     cache = precompute_quadratics(model, np.ones(cfg.p))
     n_blocks = -(-cfg.n_reps // BLOCK_SIZE)
     return map_ranges(partial(_draw_range, cfg, cache), n_blocks, threads)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .distributions import finite_array
 from .errors import InvalidInputError
 from .parallel import map_ranges
 
@@ -55,15 +56,15 @@ def epanechnikov_kde(samples: NDArray, bandwidth: float, grid: NDArray) -> NDArr
     ``|u_i| = |x - s_i| / h <= 1``.  Window sums use sorted prefix sums,
     so cost is O((N + G) log N) rather than O(N G).
     """
-    samples = np.asarray(samples, dtype=float).reshape(-1)
-    grid = np.asarray(grid, dtype=float).reshape(-1)
+    samples = finite_array(samples, "samples").reshape(-1)
+    grid = finite_array(grid, "KDE grid").reshape(-1)
+    h = float(finite_array(bandwidth, "bandwidth"))
     if samples.size == 0:
         raise InvalidInputError("samples must be nonempty")
-    if not bandwidth > 0:
+    if h <= 0:
         raise InvalidInputError("bandwidth must be positive")
     s = np.sort(samples)
     n = s.size
-    h = float(bandwidth)
     p0 = np.arange(n + 1, dtype=float)
     p1 = np.concatenate(([0.0], np.cumsum(s)))
     p2 = np.concatenate(([0.0], np.cumsum(s * s)))
@@ -203,8 +204,8 @@ def lscv_scores(samples: NDArray, bandwidths: NDArray, *, threads: int = 1) -> N
     threads score contiguous ranges of the candidates, each with buffers
     of its own; the scores are identical for every value.
     """
-    samples = np.asarray(samples, dtype=float).reshape(-1)
-    bandwidths = np.asarray(bandwidths, dtype=float).reshape(-1)
+    samples = finite_array(samples, "samples").reshape(-1)
+    bandwidths = finite_array(bandwidths, "bandwidths").reshape(-1)
     if bandwidths.size == 0:
         raise InvalidInputError("bandwidth grid must be nonempty")
     if np.any(bandwidths <= 0):
@@ -238,7 +239,7 @@ def default_bandwidth_grid(samples: NDArray) -> NDArray:
     The range brackets the Epanechnikov normal-reference bandwidth, about
     2.34 sd N^(-1/5), where the LSCV optimum of near-normal samples lies.
     """
-    samples = np.asarray(samples, dtype=float).reshape(-1)
+    samples = finite_array(samples, "samples").reshape(-1)
     if samples.size < 2:
         raise InvalidInputError("need at least two samples")
     scale = float(np.std(samples, ddof=1))
@@ -256,7 +257,7 @@ def ks_statistic(samples: NDArray) -> float:
     standard library's ``erfc``, so scoring never imports scipy.special,
     whose import costs a sampling run about 0.3 s.
     """
-    samples = np.asarray(samples, dtype=float).reshape(-1)
+    samples = finite_array(samples, "samples").reshape(-1)
     if samples.size == 0:
         raise InvalidInputError("samples must be nonempty")
     n = samples.size
@@ -287,26 +288,19 @@ class GofReport:
     skewness: float
 
 
-def summarize(
-    samples: NDArray,
-    *,
-    bandwidth_grid: NDArray | None = None,
-    threads: int = 1,
-) -> GofReport:
+def summarize(samples: NDArray, *, threads: int = 1) -> GofReport:
     """Cross-validated KDE plus distance and moment summaries.
 
     The KDE is evaluated on :data:`DEFAULT_KDE_GRID` (201 points on
-    [-4, 4]); the bandwidth candidates default to the standard log-spaced
-    grid.  ``threads`` threads score the candidates; the report is
-    identical for every value.
+    [-4, 4]), at the bandwidth that :func:`default_bandwidth_grid` offers
+    with the least LSCV score.  ``threads`` threads score the candidates;
+    the report is identical for every value.
     """
-    samples = np.asarray(samples, dtype=float).reshape(-1)
+    samples = finite_array(samples, "samples").reshape(-1)
     if samples.size < 2:
         raise InvalidInputError("need at least two samples to summarize")
     kde_grid = np.linspace(*DEFAULT_KDE_GRID)
-    if bandwidth_grid is None:
-        bandwidth_grid = default_bandwidth_grid(samples)
-    bandwidth_grid = np.asarray(bandwidth_grid, dtype=float)
+    bandwidth_grid = default_bandwidth_grid(samples)
     bandwidth = lscv_bandwidth(samples, bandwidth_grid, threads=threads)
     density = epanechnikov_kde(samples, bandwidth, kde_grid)
     mean = float(np.mean(samples))
@@ -315,7 +309,7 @@ def summarize(
     m3 = float(np.mean(centered**3))
     return GofReport(
         bandwidth=bandwidth,
-        bandwidth_on_grid_edge=bandwidth in (bandwidth_grid.min(), bandwidth_grid.max()),
+        bandwidth_on_grid_edge=bandwidth in (bandwidth_grid[0], bandwidth_grid[-1]),
         kde_x=kde_grid,
         kde_density=density,
         ks_statistic=ks_statistic(samples),

@@ -76,16 +76,14 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SigmaDecomposition:
-    """Eigendecomposition and square-root factor of the column covariance.
+    """Eigendecomposition of the column covariance.
 
-    ``eigenvalues`` are ascending, ``eigenvectors`` holds the matching
-    orthonormal columns, and ``sqrt_factor @ sqrt_factor.T`` reconstructs
-    the matrix.
+    ``eigenvalues`` are ascending and ``eigenvectors`` holds the matching
+    orthonormal columns.
     """
 
     eigenvalues: NDArray
     eigenvectors: NDArray
-    sqrt_factor: NDArray
 
 
 @dataclass(frozen=True)
@@ -115,8 +113,7 @@ def decompose_sigma(sigma: NDArray) -> SigmaDecomposition:
     """Eigendecompose a symmetric positive-definite matrix.
 
     Diagonal input takes an exact fast path (sorted permutation basis);
-    otherwise ``numpy.linalg.eigh`` is used.  The square-root factor is
-    ``U diag(sqrt(lambda))``.
+    otherwise ``numpy.linalg.eigh`` is used.
 
     Raises
     ------
@@ -127,8 +124,6 @@ def decompose_sigma(sigma: NDArray) -> SigmaDecomposition:
         If the input is not symmetric (see :func:`symmetric_matrix`).
     """
     sigma = symmetric_matrix(sigma, "sigma")
-    if not sigma.any():
-        raise NotPositiveDefiniteError("sigma is the zero matrix", 0.0)
     p = sigma.shape[0]
     diag = np.diag(sigma)
     if np.count_nonzero(sigma - np.diag(diag)) == 0:
@@ -142,8 +137,7 @@ def decompose_sigma(sigma: NDArray) -> SigmaDecomposition:
         raise NotPositiveDefiniteError(
             f"sigma is not positive definite (lambda_min={lam_min:.3e})", lam_min
         )
-    sqrt_factor = vec * np.sqrt(lam)
-    return SigmaDecomposition(eigenvalues=lam, eigenvectors=vec, sqrt_factor=sqrt_factor)
+    return SigmaDecomposition(eigenvalues=lam, eigenvectors=vec)
 
 
 def verify_assumptions(model: ModelSpec, l: NDArray) -> AssumptionReport:
@@ -167,23 +161,22 @@ def verify_assumptions(model: ModelSpec, l: NDArray) -> AssumptionReport:
 
 
 def sample_data_matrix(
-    model: ModelSpec, n: int, rng: RngStream, size: int | None = None
+    model: ModelSpec, n: int, rng: RngStream, size: int
 ) -> tuple[NDArray, NDArray]:
     """Draw ``(size, p, n)`` data matrices; returns them with the ``(size, q)`` shifts.
 
-    Matrix k has columns ``x_i = mu + B nu_k + A z_i`` with ``A A^T =
-    sigma`` and i.i.d. standard normal ``z_i``.  ``size=None`` draws one
-    ``(p, n)`` matrix and its ``(q,)`` shift.  Draw order per stream: the
-    block of shifts, then one ``(size, p, n)`` normal block.
+    Matrix k has columns ``x_i = mu + B nu_k + A z_i`` with ``A =
+    U diag(sqrt(lambda))`` from :func:`decompose_sigma` (so ``A A^T =
+    sigma``) and i.i.d. standard normal ``z_i``.  Draw order per stream:
+    the block of shifts, then one ``(size, p, n)`` normal block.
     """
     if n < 2:
         raise InvalidDimensionError("n must be >= 2")
-    count = 1 if size is None else size
-    nus = sample_nu(model.nu, rng, count)
+    nus = sample_nu(model.nu, rng, size)
     dec = decompose_sigma(model.sigma)
-    z = rng.generator.standard_normal((count, model.p, n))
-    x = (model.mu + nus @ model.b.T)[:, :, None] + dec.sqrt_factor @ z
-    return (x[0], nus[0]) if size is None else (x, nus)
+    z = rng.generator.standard_normal((size, model.p, n))
+    root = dec.eigenvectors * np.sqrt(dec.eigenvalues)
+    return (model.mu + nus @ model.b.T)[:, :, None] + root @ z, nus
 
 
 def sample_mean_and_cov(x: NDArray) -> SampleMoments:

@@ -1,34 +1,9 @@
-import numpy as np
 import pytest
 
-from locmix import ModelSpec, RngStream, TruncatedNormalAbs
-from locmix.harness import default_nu
-
-
-def make_dense_model(p, q, seed, family="tn"):
-    """Random dense SPD model with a nonzero weight vector."""
-    gen = RngStream(seed, 0).generator
-    a = gen.standard_normal((p, p))
-    sigma = a @ a.T / p + np.eye(p)
-    mu = gen.uniform(-1.0, 1.0, p)
-    b = gen.uniform(0.0, 1.0, (p, q))
-    l = gen.uniform(-1.0, 1.0, p)
-    if not np.any(l):
-        l[0] = 1.0
-    return ModelSpec(mu=mu, sigma=sigma, b=b, nu=default_nu(family, q)), l
-
-
-@pytest.fixture
-def dense_model():
-    return make_dense_model(5, 2, seed=42)
+from locmix.verify import TINY_MODEL
 
 
 @pytest.fixture
 def tiny_tn_model():
     """(p, n, q) = (1, -, 1) half-normal model used by the density oracles."""
-    return ModelSpec(
-        mu=np.array([0.3]),
-        sigma=np.array([[0.8]]),
-        b=np.array([[0.7]]),
-        nu=TruncatedNormalAbs(np.array([[1.5]])),
-    )
+    return TINY_MODEL

@@ -6,6 +6,7 @@ module-level cache.
 """
 
 import json
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -57,31 +58,31 @@ def panel_sample(figure, panel):
 
 
 def test_criterion_01_representation_vs_oracle():
-    results = representation_vs_oracle(SEED, n_draws=5000, tolerance=0.04)
+    results = representation_vs_oracle(SEED)
     ok, detail = summarize_checks(results)
     report(1, ok, f"representation vs matrix oracle: {detail}")
-    assert ok, [r.as_dict() for r in results if not r.passed]
+    assert ok, [asdict(r) for r in results if not r.passed]
 
 
 def test_criterion_02_singular_regime():
-    results = singular_regime_vs_oracle(SEED, n_draws=5000, tolerance=0.04)
+    results = singular_regime_vs_oracle(SEED)
     ok, detail = summarize_checks(results)
     report(2, ok, f"singular regime p=15 > n-1=9: {detail}")
-    assert ok, [r.as_dict() for r in results if not r.passed]
+    assert ok, [asdict(r) for r in results if not r.passed]
 
 
 def test_criterion_03_conditional_variance_cov():
-    results = conditional_variance_cov(SEED, p=200, n=2000, n_reps=N_REPS)
+    results = conditional_variance_cov(SEED)
     ok, detail = summarize_checks(results)
     report(3, ok, f"cov conditional variance within 5%: {detail}")
-    assert ok, [r.as_dict() for r in results if not r.passed]
+    assert ok, [asdict(r) for r in results if not r.passed]
 
 
 def test_criterion_04_conditional_variance_precision():
-    results = conditional_variance_precision(SEED, p=100, n=1000, n_reps=N_REPS)
+    results = conditional_variance_precision(SEED)
     ok, detail = summarize_checks(results)
     report(4, ok, f"precision conditional variance within 5%: {detail}")
-    assert ok, [r.as_dict() for r in results if not r.passed]
+    assert ok, [asdict(r) for r in results if not r.passed]
 
 
 def test_criterion_05_clt_quality_ladder():
@@ -117,10 +118,10 @@ def test_criterion_06_right_skew():
 
 
 def test_criterion_07_independence_and_wishart_mean():
-    results = wishart_and_independence_checks(SEED, reps=10_000)
+    results = wishart_and_independence_checks(SEED)
     ok, detail = summarize_checks(results)
     report(7, ok, f"independence and Wishart mean: {detail}")
-    assert ok, [r.as_dict() for r in results if not r.passed]
+    assert ok, [asdict(r) for r in results if not r.passed]
 
 
 def test_criterion_08_density_correctness():
@@ -132,13 +133,13 @@ def test_criterion_08_density_correctness():
     ]
     ok, detail = summarize_checks(results)
     report(8, ok, f"density identities/normalization/mixture: {detail}")
-    assert ok, [r.as_dict() for r in results if not r.passed]
+    assert ok, [asdict(r) for r in results if not r.passed]
 
 
 def test_criterion_09_variance_form_identity():
-    result = variance_form_identity(SEED, n_instances=1000)
+    result = variance_form_identity(SEED)
     report(9, result.passed, f"variance spellings agree to {result.observed:.3e} rel")
-    assert result.passed, result.as_dict()
+    assert result.passed, asdict(result)
 
 
 def test_criterion_10_reproducibility(tmp_path):

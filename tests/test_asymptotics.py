@@ -17,9 +17,7 @@ from locmix import (
 )
 from locmix.errors import InvalidInputError, RegimeError, ZeroVectorError
 from locmix.kde import ks_statistic
-from locmix.verify import variance_form_identity
-
-from conftest import make_dense_model
+from locmix.verify import dense_test_model, variance_form_identity
 
 COV, PRECISION = ProductKind.COV_TIMES_MEAN, ProductKind.PRECISION_TIMES_MEAN
 
@@ -86,7 +84,7 @@ def test_variance_form_identity_thousand_instances():
 
 
 def test_sigma2_tilde_monotone_in_c():
-    cache = precompute_quadratics(*make_dense_model(4, 2, seed=31))
+    cache = precompute_quadratics(*dense_test_model(4, 2, seed=31))
     nu_val = sample_nu(cache.nu, RngStream(30, 0), 1)[0]
     values = [limit_moments(cache, c, nu_val, PRECISION)[1] for c in np.linspace(0, 0.95, 40)]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -94,14 +92,14 @@ def test_sigma2_tilde_monotone_in_c():
 
 def test_variances_strictly_positive_for_nonzero_l():
     for seed in range(20):
-        cache = precompute_quadratics(*make_dense_model(4, 2, seed=200 + seed))
+        cache = precompute_quadratics(*dense_test_model(4, 2, seed=200 + seed))
         nu_val = sample_nu(cache.nu, RngStream(35, seed), 1)[0]
         assert limit_moments(cache, 0.3, nu_val, COV)[1] > 0
         assert limit_moments(cache, 0.3, nu_val, PRECISION)[1] > 0
 
 
 def test_corollary_substitution_identities():
-    model, l = make_dense_model(4, 2, seed=32)
+    model, l = dense_test_model(4, 2, seed=32)
     cache = precompute_quadratics(model, l)
     # The corollary is the conditional call at the shift mean, nu_mean(cache.nu).
     # omega = 0 reduces to the conditional formula at nu = 0.
@@ -124,24 +122,24 @@ def test_corollary_substitution_identities():
 
 
 def test_standardize_centering_and_scaling():
-    cache = precompute_quadratics(*make_dense_model(3, 2, seed=33))
+    cache = precompute_quadratics(*dense_test_model(3, 2, seed=33))
     nu_val = sample_nu(cache.nu, RngStream(31, 0), 1)[0]
-    n, c = 50, 0.1
-    center, variance = limit_moments(cache, c, nu_val, COV)
+    n = 50
+    center, variance = limit_moments(cache, cache.p / n, nu_val, COV)
     values = [center, center + 2.0 * np.sqrt(variance) / np.sqrt(n)]
-    out = standardize(values, [nu_val, nu_val], cache, c, n, ProductKind.COV_TIMES_MEAN)
+    out = standardize(values, [nu_val, nu_val], cache, n, ProductKind.COV_TIMES_MEAN)
     assert out[0] == pytest.approx(0.0, abs=1e-12)
     assert out[1] == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(ProductKind))
 def test_standardize_batch_matches_params_row_by_row(kind):
-    cache = precompute_quadratics(*make_dense_model(6, 3, seed=36))
+    cache = precompute_quadratics(*dense_test_model(6, 3, seed=36))
     gen = np.random.default_rng(36)
     nus = np.abs(gen.standard_normal((50, 3)))
     values = gen.uniform(-2.0, 2.0, 50)
-    n, c = 40, 0.15
-    out = standardize(values, nus, cache, c, n, kind)
+    n, c = 40, 0.15  # c = p / n
+    out = standardize(values, nus, cache, n, kind)
     for value, nu_val, z in zip(values, nus, out):
         center, variance = limit_moments(cache, c, nu_val, kind)
         assert np.ndim(center) == np.ndim(variance) == 0
@@ -150,12 +148,12 @@ def test_standardize_batch_matches_params_row_by_row(kind):
 
 
 def test_standardize_rejects_empty_and_zero_l():
-    model, l = make_dense_model(3, 2, seed=34)
+    model, l = dense_test_model(3, 2, seed=34)
     with pytest.raises(InvalidInputError):
-        standardize([], np.empty((0, 2)), precompute_quadratics(model, l), 0.1, 10, COV)
+        standardize([], np.empty((0, 2)), precompute_quadratics(model, l), 10, COV)
     with pytest.raises(ZeroVectorError):
         zero_l = precompute_quadratics(model, np.zeros(3))
-        standardize([1.0], np.zeros((1, 2)), zero_l, 0.1, 10, COV)
+        standardize([1.0], np.zeros((1, 2)), zero_l, 10, COV)
 
 
 def test_standardized_sample_is_close_to_normal():
@@ -163,10 +161,10 @@ def test_standardized_sample_is_close_to_normal():
     from locmix.harness import default_nu, generate_paper_model
 
     p, n, q, count = 50, 500, 10, 20_000
-    model = generate_paper_model(p, q, model_seed=0, nu=default_nu("tn", q))
+    model = generate_paper_model(p, default_nu("tn", q), 0)
     cache = precompute_quadratics(model, np.ones(p))
     values, nus = sample_cov_product(cache, n, RngStream(32, 0), count)
-    out = standardize(values, nus, cache, p / n, n, ProductKind.COV_TIMES_MEAN)
+    out = standardize(values, nus, cache, n, ProductKind.COV_TIMES_MEAN)
     assert ks_statistic(out) <= 0.02
 
 
@@ -175,7 +173,7 @@ def test_conditional_variance_reduced():
     from locmix.harness import default_nu, generate_paper_model
 
     p, n, count = 50, 500, 20_000
-    model = generate_paper_model(p, 10, model_seed=0, nu=default_nu("tn", 10))
+    model = generate_paper_model(p, default_nu("tn", 10), 0)
     nu_fix = sample_nu(model.nu, RngStream(33, 0), 1)[0]
     cache = precompute_quadratics(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
     vals, _ = sample_cov_product(cache, n, RngStream(34, 0), count)

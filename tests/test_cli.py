@@ -564,11 +564,12 @@ def test_manifest_replay_other_numpy_warns(tmp_path, caplog):
 
 
 def test_density_far_tail_exit_5_without_infinity(tmp_path, capsys):
-    from locmix import RngStream, generate_paper_model, sample_data_matrix
+    from locmix import RngStream, default_nu, generate_paper_model, sample_data_matrix
     from locmix.modelfile import save_model
 
-    model = generate_paper_model(5, 2, 0)
-    data, _ = sample_data_matrix(model, 10, RngStream(1, 0))
+    model = generate_paper_model(5, default_nu("tn", 2), 0)
+    x, _ = sample_data_matrix(model, 10, RngStream(1, 0), 1)
+    data = x[0]
     save_model(model, tmp_path / "model.json")
     np.savetxt(tmp_path / "data.csv", data - 10.0, delimiter=",", fmt="%.17g")
     code = run_cli(

@@ -24,13 +24,12 @@ from locmix.errors import (
 )
 from locmix.verify import (
     collapse_check,
+    dense_test_model,
     determinant_identity_check,
     log_density_mixture_quad,
     mixture_agreement_check,
     normalization_check,
 )
-
-from conftest import make_dense_model
 
 
 def test_workspace_b_zero_gives_omega():
@@ -94,27 +93,27 @@ def test_log_density_dimension_mismatch(tiny_tn_model):
 
 def test_quadrature_fallback_limits(tiny_tn_model):
     with pytest.raises(UnsupportedMixingError):
-        model, _ = make_dense_model(2, 2, seed=1)
-        log_density_mixture_quad(model, 2, np.zeros((2, 2)))
+        model, _ = dense_test_model(2, 2, seed=1)
+        log_density_mixture_quad(model, np.zeros((2, 2)))
 
 
 def test_orthant_q1_exact():
-    assert mvn_orthant_cdf(np.zeros(1), np.array([[3.7]]), 1e-4) == 0.5
+    assert mvn_orthant_cdf(np.zeros(1), np.array([[3.7]])) == 0.5
     # Nonzero mean: P(Z <= 0) = Phi(-mean/sd).
     from scipy.special import ndtr
 
-    val = mvn_orthant_cdf(np.array([1.0]), np.array([[4.0]]), 1e-4)
+    val = mvn_orthant_cdf(np.array([1.0]), np.array([[4.0]]))
     assert val == pytest.approx(float(ndtr(-0.5)), abs=1e-15)
 
 
 def test_orthant_q2_values():
     rng = RngStream(40, 0)
-    assert mvn_orthant_cdf(np.zeros(2), np.eye(2), 1e-5, rng=rng) == pytest.approx(
+    assert mvn_orthant_cdf(np.zeros(2), np.eye(2), rng=rng) == pytest.approx(
         0.25, abs=1e-4
     )
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     target = 0.25 + np.arcsin(0.5) / (2 * np.pi)
-    assert mvn_orthant_cdf(np.zeros(2), cov, 1e-5, rng=rng) == pytest.approx(
+    assert mvn_orthant_cdf(np.zeros(2), cov, rng=rng) == pytest.approx(
         target, abs=1e-4
     )
 
@@ -126,19 +125,19 @@ def test_orthant_q3_against_independence():
     from scipy.special import ndtr
 
     target = float(np.prod(ndtr(-mean / np.sqrt(np.diag(cov)))))
-    val = mvn_orthant_cdf(mean, cov, 1e-5, rng=RngStream(41, 0))
+    val = mvn_orthant_cdf(mean, cov, rng=RngStream(41, 0))
     assert val == pytest.approx(target, abs=1e-15)
 
 
 @pytest.mark.parametrize("q", range(1, 11))
 def test_orthant_identity_is_exact(q):
-    assert mvn_orthant_cdf(np.zeros(q), np.eye(q), 1e-6) == 0.5**q
+    assert mvn_orthant_cdf(np.zeros(q), np.eye(q)) == 0.5**q
 
 
 def test_orthant_diagonal_draws_nothing():
     rng = RngStream(44, 0)
     state = rng.generator.bit_generator.state
-    mvn_orthant_cdf(np.array([0.2, -1.0, 0.5]), np.diag([1.0, 3.0, 0.2]), 1e-6, rng=rng)
+    mvn_orthant_cdf(np.array([0.2, -1.0, 0.5]), np.diag([1.0, 3.0, 0.2]), rng=rng)
     assert rng.generator.bit_generator.state == state
 
 
@@ -166,12 +165,10 @@ def test_identity_omega_needs_no_sobol(no_sobol):
 
 
 def test_orthant_validates_inputs():
-    with pytest.raises(InvalidInputError):
-        mvn_orthant_cdf(np.zeros(2), np.eye(2), 0.05)
     with pytest.raises(InvalidDimensionError):
-        mvn_orthant_cdf(np.zeros(2), np.eye(3), 1e-3)
+        mvn_orthant_cdf(np.zeros(2), np.eye(3))
     with pytest.raises(InvalidDimensionError):
-        mvn_orthant_cdf(np.zeros(0), np.eye(0), 1e-3)
+        mvn_orthant_cdf(np.zeros(0), np.eye(0))
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
@@ -180,7 +177,7 @@ def test_orthant_non_positive_variance(q, bad):
     cov = np.eye(q)
     cov[-1, -1] = bad
     with pytest.raises(NotPositiveDefiniteError):
-        mvn_orthant_cdf(np.zeros(q), cov, 1e-3)
+        mvn_orthant_cdf(np.zeros(q), cov)
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -191,14 +188,15 @@ def test_orthant_non_finite_input(no_sobol, q, where, bad):
     cov = np.full((q, q), 0.5) + 0.5 * np.eye(q)
     (mean if where == "mean" else cov)[0] = bad
     with pytest.raises(InvalidInputError):
-        mvn_orthant_cdf(mean, cov, 1e-3)
+        mvn_orthant_cdf(mean, cov)
 
 
 def test_orthant_accepts_one_round_budget(monkeypatch):
     monkeypatch.setattr(density, "_MAX_POINTS", 8 << 7)
+    monkeypatch.setattr(density, "_ORTHANT_SE", 1e-2)
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     target = 0.25 + np.arcsin(0.5) / (2 * np.pi)
-    assert mvn_orthant_cdf(np.zeros(2), cov, 1e-2) == pytest.approx(target, abs=1e-3)
+    assert mvn_orthant_cdf(np.zeros(2), cov) == pytest.approx(target, abs=1e-3)
 
 
 def _per_batch_orthant(mean, cov, accuracy, rng=None):
@@ -230,16 +228,17 @@ def _correlated(q, seed):
 
 @pytest.mark.parametrize("q", [2, 5, 10])
 @pytest.mark.parametrize("stream", [None, 41])
-def test_orthant_memo_matches_per_batch_engines(q, stream):
+def test_orthant_memo_matches_per_batch_engines(monkeypatch, q, stream):
     # At 1e-7 every q runs past the memoized rounds into rounds whose
     # batches are split over several integrand passes.
+    monkeypatch.setattr(density, "_ORTHANT_SE", 1e-7)
     mean, cov = _correlated(q, q)
     make = (lambda: None) if stream is None else (lambda: RngStream(stream, 0))
     expected = _per_batch_orthant(mean, cov, 1e-7, make())
     density._memo_sobol_points.cache_clear()
-    cold = mvn_orthant_cdf(mean, cov, 1e-7, rng=make())
+    cold = mvn_orthant_cdf(mean, cov, rng=make())
     assert density._memo_sobol_points.cache_info().currsize > 0
-    warm = mvn_orthant_cdf(mean, cov, 1e-7, rng=make())
+    warm = mvn_orthant_cdf(mean, cov, rng=make())
     assert cold == expected and warm == expected
 
 
@@ -257,7 +256,7 @@ def test_log_density_threads_share_the_memo():
         nu=TruncatedNormalAbs(np.eye(3)),
     )
     ws = build_workspace(model, 4)
-    zs = [sample_data_matrix(model, 4, RngStream(7, k))[0] for k in range(6)]
+    zs = [sample_data_matrix(model, 4, RngStream(7, k), 1)[0][0] for k in range(6)]
     serial = [log_density(ws, z) for z in zs]
     density._memo_sobol_points.cache_clear()
     with ThreadPoolExecutor(4) as pool:
@@ -269,10 +268,11 @@ def test_orthant_memo_skips_large_rounds(monkeypatch):
     # q = 6 through rounds 2^7 .. 2^12 per batch: only the rounds of at
     # most _MEMO_MAX_VALUES values are memoized.
     monkeypatch.setattr(density, "_MAX_POINTS", 8 << 12)
+    monkeypatch.setattr(density, "_ORTHANT_SE", 1e-12)
     mean, cov = _correlated(6, 3)
     density._memo_sobol_points.cache_clear()
     with pytest.raises(AccuracyNotMetError):
-        mvn_orthant_cdf(mean, cov, 1e-12)
+        mvn_orthant_cdf(mean, cov)
     small = [k for k in range(7, 13) if 5 << k <= density._MEMO_MAX_VALUES]
     assert 0 < len(small) < 6
     assert density._memo_sobol_points.cache_info().currsize == 8 * len(small)
@@ -280,12 +280,13 @@ def test_orthant_memo_skips_large_rounds(monkeypatch):
 
 def test_orthant_accuracy_not_met(monkeypatch):
     monkeypatch.setattr(density, "_MAX_POINTS", 4096)
+    monkeypatch.setattr(density, "_ORTHANT_SE", 1e-9)
     gen = np.random.default_rng(9)
     a = gen.standard_normal((6, 6))
     cov = a @ a.T + 0.05 * np.eye(6)
     mean = gen.uniform(-1, 1, 6)
     with pytest.raises(AccuracyNotMetError) as err:
-        mvn_orthant_cdf(mean, cov, 1e-9, rng=RngStream(42, 0))
+        mvn_orthant_cdf(mean, cov, rng=RngStream(42, 0))
     assert err.value.achieved > 0
 
 
@@ -334,17 +335,17 @@ def _mpmath_reference(model, z):
         log_phi = float(-(p * n * mp.log(2 * mp.pi) + log_det_f + quad) / 2)
         d_float = np.array(d.tolist(), dtype=float)
         nu_float = np.array(nu_hat.tolist(), dtype=float).reshape(-1)
-    orthant = mvn_orthant_cdf(-nu_float, d_float, 1e-6)
+    orthant = mvn_orthant_cdf(-nu_float, d_float)
     return log_phi + np.log(orthant) - q * np.log(0.5)
 
 
 @pytest.mark.parametrize("sigma_min", [1e-6, 1e-8])
 def test_log_density_small_sigma_entry_against_mpmath(sigma_min):
     pytest.importorskip("mpmath")
-    paper = generate_paper_model(30, 5, 0)
+    paper = generate_paper_model(30, TruncatedNormalAbs(np.eye(5)), 0)
     sigma = paper.sigma.copy()
     sigma[0, 0] = sigma_min
     model = ModelSpec(mu=paper.mu, sigma=sigma, b=paper.b, nu=paper.nu)
-    z, _ = sample_data_matrix(model, 60, RngStream(1, 0))
+    z = sample_data_matrix(model, 60, RngStream(1, 0), 1)[0][0]
     value = log_density(build_workspace(model, 60), z)
     assert value == pytest.approx(_mpmath_reference(model, z), abs=1e-6)

@@ -34,13 +34,14 @@ def small_config(**overrides):
 
 
 def test_generate_paper_model_ranges_and_determinism():
-    model = generate_paper_model(30, 10, model_seed=4)
+    model = generate_paper_model(30, default_nu("tn", 10), 4)
+    assert model.b.shape == (30, 10)
     assert np.all((model.mu >= -1) & (model.mu <= 1))
     assert np.all((model.b >= 0) & (model.b <= 1))
     diag = np.diag(model.sigma)
     assert np.all((diag >= 1e-6) & (diag <= 1))
     assert np.count_nonzero(model.sigma - np.diag(diag)) == 0
-    again = generate_paper_model(30, 10, model_seed=4)
+    again = generate_paper_model(30, default_nu("tn", 10), 4)
     np.testing.assert_array_equal(model.mu, again.mu)
     np.testing.assert_array_equal(model.sigma, again.sigma)
     np.testing.assert_array_equal(model.b, again.b)
@@ -49,7 +50,7 @@ def test_generate_paper_model_ranges_and_determinism():
 def test_generated_model_satisfies_boundedness():
     # Diagonal covariance makes eigenvectors coordinate axes, so the
     # eigen-basis maxima are just the largest entries of mu and B.
-    model = generate_paper_model(25, 10, model_seed=5)
+    model = generate_paper_model(25, default_nu("tn", 10), 5)
     report = verify_assumptions(model, np.ones(25))
     assert report.max_abs_u_mu <= 1.0
     assert report.max_abs_u_b <= 1.0
@@ -112,8 +113,8 @@ def test_seed_separation():
     b = run_experiment(cfg_b)
     assert not np.array_equal(a, b)
     # The model is controlled by model_seed alone.
-    model_a = generate_paper_model(cfg_a.p, cfg_a.q, cfg_a.model_seed)
-    model_b = generate_paper_model(cfg_b.p, cfg_b.q, cfg_b.model_seed)
+    model_a = generate_paper_model(cfg_a.p, cfg_a.nu, cfg_a.model_seed)
+    model_b = generate_paper_model(cfg_b.p, cfg_b.nu, cfg_b.model_seed)
     np.testing.assert_array_equal(model_a.mu, model_b.mu)
 
 
@@ -139,23 +140,27 @@ def test_summarize_experiment_scores_on_default_grids():
 
 
 def test_figure_table_resolution():
-    cfg = figure_config(2, "a", n_reps=1000)
-    assert (cfg.p, cfg.n, cfg.c) == (250, 500, 0.5)
+    def resolve(figure, panel):
+        return figure_config(figure, panel, n_reps=1000, master_seed=1, model_seed=0)
+
+    cfg = resolve(2, "a")
+    assert (cfg.p, cfg.n) == (250, 500)
     assert cfg.product is ProductKind.COV_TIMES_MEAN
-    assert cfg.q == 10
-    cfg = figure_config(5, "c", n_reps=1000)
-    assert (cfg.p, cfg.n, cfg.c) == (50, 500, 0.1)
+    assert cfg.nu.q == 10
+    cfg = resolve(5, "c")
+    assert (cfg.p, cfg.n) == (50, 500)
     assert cfg.product is ProductKind.PRECISION_TIMES_MEAN
     from locmix.distributions import GeneralizedAsymmetricLaplace
 
     assert isinstance(cfg.nu, GeneralizedAsymmetricLaplace)
-    cfg = figure_config(4, "b", n_reps=1000)
-    assert (cfg.p, cfg.n, cfg.c) == (950, 1000, 0.95)
-    # Every panel standardizes at exactly its figure's c.
+    cfg = resolve(4, "b")
+    assert (cfg.p, cfg.n) == (950, 1000)
+    # Every panel standardizes at exactly its figure's c = p / n.
     for figure, row in FIGURE_TABLE.items():
         for panel in PANEL_TABLE:
-            assert figure_config(figure, panel, n_reps=1000).c == row["c"]
+            cfg = resolve(figure, panel)
+            assert cfg.p / cfg.n == row["c"]
     with pytest.raises(InvalidInputError):
-        figure_config(9, "a")
+        resolve(9, "a")
     with pytest.raises(InvalidInputError):
-        figure_config(1, "e")
+        resolve(1, "e")

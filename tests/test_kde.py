@@ -298,7 +298,7 @@ def test_ks_matches_ndtr_reference(draw):
 
 
 def test_summarize_symmetric_two_point():
-    report = summarize(np.array([-1.0, 1.0]), bandwidth_grid=np.array([1.0]))
+    report = summarize(np.array([-1.0, 1.0]))
     assert report.skewness == 0.0
     assert report.mean == 0.0
 
@@ -316,15 +316,54 @@ def test_summarize_standard_normal_sample():
 
 
 def test_summarize_flags_argmin_on_grid_edge():
-    # Every candidate is far below the LSCV optimum (about 0.5 here), so the
-    # largest one wins; the order of the grid does not matter.
-    samples = np.random.default_rng(9).standard_normal(5_000)
-    grid = np.array([0.004, 0.001, 0.002])
-    report = summarize(samples, bandwidth_grid=grid)
-    assert report.bandwidth == 0.004
+    # Two tight clusters far apart: the sd, and with it every default
+    # candidate, is set by the gap, while the clusters want a bandwidth far
+    # below it, so the smallest candidate wins.
+    gen = np.random.default_rng(9)
+    noise = 1e-3 * gen.standard_normal((2, 2500))
+    samples = np.concatenate([-10.0 + noise[0], 10.0 + noise[1]])
+    report = summarize(samples)
+    assert report.bandwidth == default_bandwidth_grid(samples)[0]
     assert report.bandwidth_on_grid_edge
 
 
 def test_summarize_requires_enough_samples():
     with pytest.raises(InvalidInputError):
         summarize(np.array([1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lscv_rejects_non_finite_bandwidths(bad):
+    samples = np.random.default_rng(12).standard_normal(1000)
+    with pytest.raises(InvalidInputError, match="finite"):
+        lscv_scores(samples, [0.1, bad])
+    with pytest.raises(InvalidInputError, match="finite"):
+        lscv_bandwidth(samples, [0.1, bad])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "score",
+    [
+        ks_statistic,
+        summarize,
+        default_bandwidth_grid,
+        lambda s: lscv_scores(s, [0.5]),
+        lambda s: epanechnikov_kde(s, 0.5, np.zeros(3)),
+    ],
+    ids=["ks", "summarize", "default-grid", "lscv", "kde"],
+)
+def test_scores_reject_non_finite_samples(score, bad):
+    samples = np.random.default_rng(13).standard_normal(1000)
+    samples[17] = bad
+    with pytest.raises(InvalidInputError, match="samples must be finite"):
+        score(samples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kde_rejects_non_finite_bandwidth_and_grid(bad):
+    samples = np.random.default_rng(14).standard_normal(100)
+    with pytest.raises(InvalidInputError, match="finite"):
+        epanechnikov_kde(samples, bad, np.zeros(3))
+    with pytest.raises(InvalidInputError, match="finite"):
+        epanechnikov_kde(samples, 0.5, np.array([0.0, bad]))

@@ -13,22 +13,26 @@ from locmix import (
     sample_nu,
 )
 from locmix.distributions import nu_mean
+from locmix.harness import default_nu
 from locmix.model import verify_assumptions
 from locmix.errors import (
     InvalidDimensionError,
     InvalidInputError,
     NotPositiveDefiniteError,
 )
+from locmix.verify import dense_test_model
 
-from conftest import make_dense_model
+
+def _root(sigma):
+    """The factor ``U diag(sqrt(lambda))`` that the matrix oracle draws with."""
+    dec = decompose_sigma(sigma)
+    return dec.eigenvectors * np.sqrt(dec.eigenvalues)
 
 
 def test_decompose_identity():
     dec = decompose_sigma(np.eye(4))
     np.testing.assert_array_equal(dec.eigenvalues, np.ones(4))
-    np.testing.assert_allclose(
-        dec.sqrt_factor @ dec.sqrt_factor.T, np.eye(4), atol=1e-14
-    )
+    np.testing.assert_array_equal(dec.eigenvectors, np.eye(4))
 
 
 def test_decompose_diagonal_orders_ascending():
@@ -49,14 +53,20 @@ def test_decompose_reconstruction_random_spd():
     recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
     rel = np.linalg.norm(recon - sigma) / np.linalg.norm(sigma)
     assert rel <= 1e-10
-    rel_sqrt = np.linalg.norm(dec.sqrt_factor @ dec.sqrt_factor.T - sigma) / np.linalg.norm(sigma)
-    assert rel_sqrt <= 1e-10
 
 
 def test_decompose_rejects_non_positive_definite():
     with pytest.raises(NotPositiveDefiniteError) as err:
         decompose_sigma(np.diag([1.0, -0.5]))
     assert err.value.lambda_min == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_decompose_rejects_zero_matrix(p):
+    # The eigenvalue check covers it: a zero matrix has lambda_min = 0.
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite") as err:
+        decompose_sigma(np.zeros((p, p)))
+    assert err.value.lambda_min == 0.0
 
 
 def test_decompose_rejects_asymmetric():
@@ -111,41 +121,30 @@ def test_sample_data_matrix_near_degenerate_noise():
         b=np.zeros((2, 1)),
         nu=Degenerate(np.zeros(1)),
     )
-    x, _ = sample_data_matrix(model, 50, RngStream(1, 0))
-    assert np.max(np.abs(x - model.mu[:, None])) < 1e-4
+    x, _ = sample_data_matrix(model, 50, RngStream(1, 0), 1)
+    assert np.max(np.abs(x[0] - model.mu[:, None])) < 1e-4
 
 
 def test_sample_data_matrix_column_mean():
-    model, _ = make_dense_model(2, 2, seed=9)
-    x, _ = sample_data_matrix(model, 100_000, RngStream(2, 0))
+    model, _ = dense_test_model(2, 2, seed=9)
+    x, _ = sample_data_matrix(model, 100_000, RngStream(2, 0), 1)
     target = model.mu + model.b @ nu_mean(model.nu)
     # One shared shift draw: compare against mu + B nu for the drawn nu.
-    assert x.shape == (2, 100_000)
+    assert x.shape == (1, 2, 100_000)
     # Residual mean around the realized shifted mean vanishes as n grows.
-    x2, nu_val = sample_data_matrix(model, 200_000, RngStream(2, 1))
-    resid = x2.mean(axis=1) - (model.mu + model.b @ nu_val)
+    x2, nus = sample_data_matrix(model, 200_000, RngStream(2, 1), 1)
+    resid = x2[0].mean(axis=1) - (model.mu + model.b @ nus[0])
     assert np.max(np.abs(resid)) < 0.02
     # And across independent matrices the column mean approaches mu + B E[nu].
     means = sample_data_matrix(model, 100, RngStream(3, 0), 2000)[0].mean(axis=2)
     assert np.max(np.abs(means.mean(axis=0) - target)) < 0.05
 
 
-@pytest.mark.parametrize("family", ["tn", "gal"])
-def test_sample_data_matrix_block_of_one_equals_scalar_call(family):
-    model, _ = make_dense_model(5, 2, seed=12, family=family)
-    x_block, nus = sample_data_matrix(model, 20, RngStream(6, 0), 1)
-    x, nu_val = sample_data_matrix(model, 20, RngStream(6, 0))
-    assert x_block.shape == (1, 5, 20) and nus.shape == (1, 2)
-    assert x.shape == (5, 20) and nu_val.shape == (2,)
-    np.testing.assert_array_equal(x_block[0], x)
-    np.testing.assert_array_equal(nus[0], nu_val)
-
-
 @pytest.mark.parametrize(
     "model, n, stream",
     [
-        (generate_paper_model(5, 2, 0), 10, (1, 0)),
-        (generate_paper_model(30, 5, 0), 60, (1, 0)),
+        (generate_paper_model(5, default_nu("tn", 2), 0), 10, (1, 0)),
+        (generate_paper_model(30, default_nu("tn", 5), 0), 60, (1, 0)),
         (
             ModelSpec(
                 mu=np.zeros(3),
@@ -161,32 +160,31 @@ def test_sample_data_matrix_block_of_one_equals_scalar_call(family):
 )
 def test_sample_data_matrix_single_draw_keeps_its_bytes(model, n, stream):
     # The one-matrix formula, replayed on the same stream.
-    x, nu_val = sample_data_matrix(model, n, RngStream(*stream))
+    x, nus = sample_data_matrix(model, n, RngStream(*stream), 1)
+    assert x.shape == (1, model.p, n) and nus.shape == (1, model.q)
     rng = RngStream(*stream)
     expected_nu = sample_nu(model.nu, rng, 1)[0]
     z = rng.generator.standard_normal((model.p, n))
     shifted = (model.mu + model.b @ expected_nu)[:, None]
-    np.testing.assert_array_equal(nu_val, expected_nu)
-    np.testing.assert_array_equal(x, shifted + decompose_sigma(model.sigma).sqrt_factor @ z)
+    np.testing.assert_array_equal(nus[0], expected_nu)
+    np.testing.assert_array_equal(x[0], shifted + _root(model.sigma) @ z)
 
 
 def test_sample_data_matrix_block_draw_order():
     # All shifts first, then one (size, p, n) block of normals.
-    model, _ = make_dense_model(4, 2, seed=14, family="gal")
+    model, _ = dense_test_model(4, 2, seed=14, family="gal")
     x, nus = sample_data_matrix(model, 6, RngStream(8, 0), 3)
     rng = RngStream(8, 0)
     np.testing.assert_array_equal(nus, sample_nu(model.nu, rng, 3))
     z = rng.generator.standard_normal((3, 4, 6))
     shifted = (model.mu + nus @ model.b.T)[:, :, None]
-    np.testing.assert_allclose(
-        x, shifted + decompose_sigma(model.sigma).sqrt_factor @ z, rtol=0, atol=1e-12
-    )
+    np.testing.assert_allclose(x, shifted + _root(model.sigma) @ z, rtol=0, atol=1e-12)
 
 
 def test_sample_data_matrix_requires_two_columns():
-    model, _ = make_dense_model(2, 1, seed=10)
+    model, _ = dense_test_model(2, 1, seed=10)
     with pytest.raises(InvalidDimensionError):
-        sample_data_matrix(model, 1, RngStream(1, 0))
+        sample_data_matrix(model, 1, RngStream(1, 0), 1)
 
 
 def test_sample_mean_and_cov_hand_values():
@@ -223,7 +221,7 @@ def test_sample_mean_and_cov_errors():
 
 def test_wishart_mean_small():
     # (n-1) E[S] = (n-1) Sigma; averaged over replicates.
-    model, _ = make_dense_model(4, 2, seed=11)
+    model, _ = dense_test_model(4, 2, seed=11)
     p, n, reps = 4, 20, 4000
     x, _ = sample_data_matrix(model, n, RngStream(4, 0), reps)
     acc = sample_mean_and_cov(x).s_matrix.mean(axis=0)

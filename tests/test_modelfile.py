@@ -4,12 +4,11 @@ import pytest
 from locmix import Degenerate, GeneralizedAsymmetricLaplace, TruncatedNormalAbs
 from locmix.errors import InvalidInputError
 from locmix.modelfile import load_model, save_model
-
-from conftest import make_dense_model
+from locmix.verify import dense_test_model
 
 
 def test_roundtrip(tmp_path):
-    model, _ = make_dense_model(3, 2, seed=50)
+    model, _ = dense_test_model(3, 2, seed=50)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)

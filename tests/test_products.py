@@ -7,6 +7,7 @@ from scipy.stats import ks_2samp
 from locmix import (
     Degenerate,
     ModelSpec,
+    ProductKind,
     RngStream,
     precompute_quadratics,
     sample_cov_product,
@@ -14,9 +15,9 @@ from locmix import (
     sample_precision_product,
 )
 from locmix.errors import RegimeError, ZeroVectorError
-from locmix.verify import oracle_product_draws
+from locmix.verify import dense_test_model, oracle_product_draws
 
-from conftest import make_dense_model
+COV, PRECISION = ProductKind.COV_TIMES_MEAN, ProductKind.PRECISION_TIMES_MEAN
 
 
 def test_delta_sq_examples():
@@ -43,7 +44,7 @@ def test_delta_sq_examples():
 
 
 def test_delta_sq_matches_dense_projection():
-    model, l = make_dense_model(5, 2, seed=21)
+    model, l = dense_test_model(5, 2, seed=21)
     nu_val = sample_nu(model.nu, RngStream(5, 0), 1)[0]
     cache = precompute_quadratics(model, l)
     _, _, delta_sq = cache.precision_forms(nu_val)
@@ -74,7 +75,7 @@ def _direct_shift_forms(model, l, nu):
 @pytest.mark.parametrize("p, q", [(1, 3), (5, 2), (40, 3)])
 def test_shift_forms_match_direct_sums(p, q):
     # (1, 3) has q + 1 > p, so the triangular factors have min(p, q+1) rows.
-    model, l = make_dense_model(p, q, seed=35)
+    model, l = dense_test_model(p, q, seed=35)
     cache = precompute_quadratics(model, l)
     nus = sample_nu(model.nu, RngStream(36, p), 6)
 
@@ -96,7 +97,7 @@ def test_delta_sq_near_parallel_shift(p, q):
     # Taking m - a^2/b loses most digits there; the projected residual's
     # own sum of squares keeps them.  The reference projects the stored
     # deviation mu - 2 l, which is exact, so it has no cancellation.
-    model, l = make_dense_model(p, q, seed=35)
+    model, l = dense_test_model(p, q, seed=35)
     e = np.zeros(p)
     e[-1] = 1.0
     mu = 2.0 * l + 1e-6 * e
@@ -111,7 +112,7 @@ def test_delta_sq_near_parallel_shift(p, q):
 
 
 def test_cov_product_zero_l_short_circuits():
-    model, _ = make_dense_model(4, 2, seed=22)
+    model, _ = dense_test_model(4, 2, seed=22)
     cache = precompute_quadratics(model, np.zeros(4))
     draws, _ = sample_cov_product(cache, 10, RngStream(6, 0), 20)
     assert draws.tolist() == [0.0] * 20
@@ -139,7 +140,7 @@ def test_cov_product_p1_has_no_noise_term():
 
 
 def test_linearity_exact_ratio():
-    model, l = make_dense_model(6, 2, seed=23)
+    model, l = dense_test_model(6, 2, seed=23)
     n = 20
     one, two = precompute_quadratics(model, l), precompute_quadratics(model, 2.0 * l)
     for sampler, seed in ((sample_cov_product, 8), (sample_precision_product, 9)):
@@ -149,7 +150,7 @@ def test_linearity_exact_ratio():
 
 
 def test_degenerate_law_cache_conditions_on_its_shift():
-    model, l = make_dense_model(4, 2, seed=24)
+    model, l = dense_test_model(4, 2, seed=24)
     nu_val = np.array([0.5, 1.5])
     cache = precompute_quadratics(replace(model, nu=Degenerate(nu_val)), l)
     for sampler in (sample_cov_product, sample_precision_product):
@@ -162,7 +163,7 @@ def test_degenerate_law_cache_conditions_on_its_shift():
 
 
 def test_precision_requires_regime_and_nonzero_l():
-    model, l = make_dense_model(5, 2, seed=26)
+    model, l = dense_test_model(5, 2, seed=26)
     with pytest.raises(RegimeError):
         sample_precision_product(precompute_quadratics(model, l), 6, RngStream(12, 0), 1)
     zero_l = precompute_quadratics(model, np.zeros(5))
@@ -220,28 +221,28 @@ def test_p1_blocks_replay_documented_draw_order():
 
 @pytest.mark.parametrize("family", ["tn", "gal"])
 def test_cov_product_matches_oracle(family):
-    model, l = make_dense_model(5, 2, seed=27, family=family)
+    model, l = dense_test_model(5, 2, seed=27, family=family)
     n, count = 20, 4000
     cache = precompute_quadratics(model, l)
     rep, _ = sample_cov_product(cache, n, RngStream(14, 0), count)
-    orc = oracle_product_draws(model, l, n, 15, count, precision=False)
+    orc = oracle_product_draws(model, l, n, 15, count, COV)
     assert ks_2samp(rep, orc).statistic <= 0.04
 
 
 @pytest.mark.parametrize("family", ["tn", "gal"])
 def test_precision_product_matches_oracle(family):
-    model, l = make_dense_model(5, 2, seed=28, family=family)
+    model, l = dense_test_model(5, 2, seed=28, family=family)
     n, count = 30, 4000
     cache = precompute_quadratics(model, l)
     rep, _ = sample_precision_product(cache, n, RngStream(16, 0), count)
-    orc = oracle_product_draws(model, l, n, 17, count, precision=True)
+    orc = oracle_product_draws(model, l, n, 17, count, PRECISION)
     assert ks_2samp(rep, orc).statistic <= 0.04
 
 
 def test_cov_product_singular_regime_matches_oracle():
-    model, l = make_dense_model(15, 2, seed=29)
+    model, l = dense_test_model(15, 2, seed=29)
     n, count = 10, 3000
     cache = precompute_quadratics(model, l)
     rep, _ = sample_cov_product(cache, n, RngStream(18, 0), count)
-    orc = oracle_product_draws(model, l, n, 19, count, precision=False)
+    orc = oracle_product_draws(model, l, n, 19, count, COV)
     assert ks_2samp(rep, orc).statistic <= 0.05

@@ -60,12 +60,13 @@ def test_traced_cli_calls_reach_every_metric_span(tmp_path):
     # A call that bypasses a patched name would read 0 for its layer.
     import numpy as np
 
-    from locmix import RngStream, generate_paper_model, sample_data_matrix
+    from locmix import RngStream, default_nu, generate_paper_model, sample_data_matrix
     from locmix.cli import main
     from locmix.modelfile import save_model
 
-    model = generate_paper_model(5, 2, 0)
-    data, _ = sample_data_matrix(model, 10, RngStream(1, 0))
+    model = generate_paper_model(5, default_nu("tn", 2), 0)
+    x, _ = sample_data_matrix(model, 10, RngStream(1, 0), 1)
+    data = x[0]
     save_model(model, tmp_path / "model.json")
     np.savetxt(tmp_path / "data.csv", data, delimiter=",", fmt="%.17g")
     figure = ["figure", "--figure", "1", "--panel", "a", "--nreps", "500"]
