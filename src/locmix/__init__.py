@@ -31,7 +31,6 @@ from .harness import (
     default_nu,
     generate_paper_model,
     run_experiment,
-    summarize_experiment,
 )
 from .kde import (
     GofReport,
@@ -51,7 +50,6 @@ from .model import (
 from .products import (
     ProductKind,
     QuadraticCache,
-    precompute_quadratics,
     sample_cov_product,
     sample_precision_product,
 )

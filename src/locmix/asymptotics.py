@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError, RegimeError, ZeroVectorError
+from .errors import InvalidInputError, RegimeError
 from .products import ProductKind, QuadraticCache
 # Not called here: benchmarks/tracer.py looks this name up in this module.
 from .products import precompute_quadratics  # noqa: F401
@@ -80,6 +80,6 @@ def standardize(
         raise InvalidInputError("draws must be nonempty")
     nus = np.asarray(nus, dtype=float).reshape(values.size, -1)
     if cache.l_is_zero:
-        raise ZeroVectorError("standardization is undefined for l = 0 (zero variance)")
+        raise InvalidInputError("standardization is undefined for l = 0 (zero variance)")
     center, variance = limit_moments(cache, cache.p / n, nus, kind)
     return np.sqrt(n) * (values - center) / np.sqrt(variance)

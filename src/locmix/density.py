@@ -41,13 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .distributions import TruncatedNormalAbs
+from .distributions import TruncatedNormalAbs, finite_array
 from .errors import (
     AccuracyNotMetError,
-    InvalidDimensionError,
     InvalidInputError,
     NotPositiveDefiniteError,
-    UnsupportedMixingError,
+    RegimeError,
 )
 from .model import ModelSpec, decompose_sigma
 from .rng import RngStream
@@ -210,13 +209,11 @@ def mvn_orthant_cdf(mean: NDArray, cov: NDArray, rng: RngStream | None = None) -
     # gets here.
     from scipy.special import ndtr
 
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov = np.asarray(cov, dtype=float)
+    mean = finite_array(mean, "orthant mean").reshape(-1)
+    cov = finite_array(cov, "orthant covariance")
     q = mean.shape[0]
     if q == 0 or cov.shape != (q, q):
-        raise InvalidDimensionError("mean must be nonempty and cov (q, q) matching it")
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise InvalidInputError("orthant mean and covariance must be finite")
+        raise InvalidInputError("mean must be nonempty and cov (q, q) matching it")
     var = np.diag(cov)
     var_min = float(var.min())
     if var_min <= 0.0:
@@ -280,16 +277,16 @@ def build_workspace(model: ModelSpec, n: int) -> DensityWorkspace:
     """Prepare the matrix density of ``model`` for sample size ``n``.
 
     Only the half-normal mixing family is supported; other mixing laws
-    raise :class:`UnsupportedMixingError`.  Sigma goes through
+    raise :class:`RegimeError`.  Sigma goes through
     :func:`decompose_sigma`, so an asymmetric or indefinite Sigma raises
     its typed error.
     """
     if not isinstance(model.nu, TruncatedNormalAbs):
-        raise UnsupportedMixingError(
+        raise RegimeError(
             "the closed-form matrix density requires half-normal mixing"
         )
     if n < 1:
-        raise InvalidDimensionError("n must be >= 1")
+        raise InvalidInputError("n must be >= 1")
     dec = decompose_sigma(model.sigma)
     white = dec.eigenvectors.T / np.sqrt(dec.eigenvalues)[:, None]
     white_b = white @ model.b
@@ -334,7 +331,7 @@ def log_density(workspace: DensityWorkspace, z: NDArray) -> float:
     z = np.asarray(z, dtype=float)
     p = ws.mu.shape[0]
     if z.shape != (p, ws.n):
-        raise InvalidDimensionError(f"data must be (p, n) = ({p}, {ws.n}); got {z.shape}")
+        raise InvalidInputError(f"data must be (p, n) = ({p}, {ws.n}); got {z.shape}")
     w = ws.white @ (z - ws.mu[:, None])
     wbar = w.mean(axis=1)
     nu_hat = ws.r_inv @ (ws.basis.T @ (np.sqrt(ws.n) * wbar))

@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidDimensionError, InvalidInputError, NotPositiveDefiniteError
+from .errors import InvalidInputError, NotPositiveDefiniteError
 from .rng import RngStream
 
 
@@ -39,12 +39,12 @@ def finite_array(value, name: str) -> NDArray:
 def symmetric_matrix(value, name: str) -> NDArray:
     """``value`` as a square float array, symmetric to 1e-12 of its largest entry.
 
-    A non-square array raises InvalidDimensionError, an asymmetric one
-    InvalidInputError naming the relative asymmetry.
+    A non-square or asymmetric array raises InvalidInputError; the latter
+    names the relative asymmetry.
     """
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidDimensionError(f"{name} must be a square matrix")
+        raise InvalidInputError(f"{name} must be a square matrix")
     scale = np.max(np.abs(arr), initial=0.0)
     asym = np.max(np.abs(arr - arr.T), initial=0.0)
     if asym > 1e-12 * scale:
@@ -114,7 +114,7 @@ class GeneralizedAsymmetricLaplace:
         m = finite_array(self.m, "m").reshape(-1)
         chol = _spd_cholesky(self.sigma, "sigma")
         if m.shape[0] != chol.shape[0]:
-            raise InvalidDimensionError("m and sigma dimensions disagree")
+            raise InvalidInputError("m and sigma dimensions disagree")
         if not 0 < self.s < np.inf:
             raise InvalidInputError("shape parameter s must be positive and finite")
         object.__setattr__(self, "m", m)
@@ -146,7 +146,7 @@ NuDistribution = Union[TruncatedNormalAbs, GeneralizedAsymmetricLaplace, Degener
 def sample_chi_squared(k: int, rng: RngStream, size: int) -> NDArray:
     """Draw a ``(size,)`` block from the chi-squared law with ``k >= 1`` dof."""
     if k < 1:
-        raise InvalidDimensionError("degrees of freedom must be >= 1")
+        raise InvalidInputError("degrees of freedom must be >= 1")
     return rng.generator.chisquare(k, size)
 
 
@@ -156,31 +156,26 @@ def sample_noncentral_chi_squared(
     """Draw from the noncentral chi-squared law ``chi2_k(lam)``.
 
     Uses the exact Poisson mixture ``J ~ Poisson(lam/2)`` followed by a
-    central ``chi2_{k+2J}`` draw, which also covers ``k = 0`` with
-    ``lam > 0``; a draw with ``k + 2J = 0`` is 0.  A block draws its
-    Poisson variates first, then its chi-squared variates; a zero ``lam``
-    consumes no Poisson randomness.
+    central ``chi2_{k+2J}`` draw.  A block draws its Poisson variates
+    first, then its chi-squared variates; a zero ``lam`` consumes no
+    Poisson randomness.
 
     Parameters
     ----------
     k : int
-        Nonnegative degrees of freedom.
+        Degrees of freedom, at least 1.
     lam : float or (size,) ndarray
         Nonnegative noncentrality, shared or one per draw.
     size : int
         Number of draws.
     """
-    if k < 0:
-        raise InvalidDimensionError("degrees of freedom must be >= 0")
+    if k < 1:
+        raise InvalidInputError("degrees of freedom must be >= 1")
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (size,))
     if np.any(lam < 0):
-        raise ValueError("noncentrality must be >= 0")
+        raise InvalidInputError("noncentrality must be >= 0")
     gen = rng.generator
-    dof = k + 2 * gen.poisson(lam / 2.0)
-    draws = np.zeros(dof.shape)
-    positive = dof > 0
-    draws[positive] = gen.chisquare(dof[positive])
-    return draws
+    return gen.chisquare(k + 2 * gen.poisson(lam / 2.0))
 
 
 def sample_noncentral_f(
@@ -193,7 +188,7 @@ def sample_noncentral_f(
     denominators.  ``lam`` is shared or one per draw.
     """
     if d1 < 1 or d2 < 1:
-        raise InvalidDimensionError("both degrees of freedom must be >= 1")
+        raise InvalidInputError("both degrees of freedom must be >= 1")
     num = sample_noncentral_chi_squared(d1, lam, rng, size) / d1
     den = sample_chi_squared(d2, rng, size) / d2
     return num / den

@@ -1,27 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per ``locmix`` exit code.
 
-
-class InvalidDimensionError(ValueError):
-    """A dimension argument is zero, negative, or inconsistent with its peers."""
+``InvalidInputError`` (and its subclass ``NotPositiveDefiniteError``)
+exits 2, ``RegimeError`` exits 3 and ``AccuracyNotMetError`` exits 5.
+"""
 
 
 class InvalidInputError(ValueError):
-    """An input value (file, array, grid) is malformed or empty."""
+    """An input (file, array, dimension, vector, grid) is malformed, empty or out of range."""
 
 
-class ZeroVectorError(ValueError):
-    """A weight vector that must be nonzero is identically zero."""
-
-
-class RegimeError(ValueError):
-    """The (p, n, c) regime does not admit the requested operation."""
-
-
-class UnsupportedMixingError(ValueError):
-    """The mixing distribution is outside what the operation supports."""
-
-
-class NotPositiveDefiniteError(ValueError):
+class NotPositiveDefiniteError(InvalidInputError):
     """A matrix that must be positive definite is not.
 
     Attributes
@@ -33,6 +21,10 @@ class NotPositiveDefiniteError(ValueError):
     def __init__(self, message: str, lambda_min: float):
         super().__init__(message)
         self.lambda_min = lambda_min
+
+
+class RegimeError(ValueError):
+    """The model (its p, n regime or its mixing law) does not admit the operation."""
 
 
 class AccuracyNotMetError(RuntimeError):

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .distributions import NuDistribution, finite_array, sample_nu, symmetric_matrix
-from .errors import InvalidDimensionError, NotPositiveDefiniteError
+from .errors import InvalidInputError, NotPositiveDefiniteError
 from .rng import RngStream
 
 
@@ -51,14 +51,14 @@ class ModelSpec:
         sigma = finite_array(self.sigma, "sigma")
         b = finite_array(self.b, "b")
         if b.ndim != 2:
-            raise InvalidDimensionError("b must be a (p, q) matrix")
+            raise InvalidInputError("b must be a (p, q) matrix")
         p = mu.shape[0]
         if sigma.shape != (p, p):
-            raise InvalidDimensionError("sigma must be (p, p) matching mu")
+            raise InvalidInputError("sigma must be (p, p) matching mu")
         if b.shape[0] != p:
-            raise InvalidDimensionError("b must have p rows")
+            raise InvalidInputError("b must have p rows")
         if b.shape[1] != self.nu.q:
-            raise InvalidDimensionError(
+            raise InvalidInputError(
                 f"b has {b.shape[1]} columns but the mixing law has q={self.nu.q}"
             )
         object.__setattr__(self, "mu", mu)
@@ -84,21 +84,6 @@ class SigmaDecomposition:
 
     eigenvalues: NDArray
     eigenvectors: NDArray
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Exact maxima of the boundedness conditions behind the CLTs.
-
-    No pass/fail verdict is attached: what counts as "bounded" is a policy
-    decision left to the caller.
-    """
-
-    lambda_min: float
-    lambda_max: float
-    max_abs_u_mu: float
-    max_abs_u_b: float
-    max_abs_u_l: float
 
 
 @dataclass(frozen=True)
@@ -140,26 +125,6 @@ def decompose_sigma(sigma: NDArray) -> SigmaDecomposition:
     return SigmaDecomposition(eigenvalues=lam, eigenvectors=vec)
 
 
-def verify_assumptions(model: ModelSpec, l: NDArray) -> AssumptionReport:
-    """Report the eigen-basis maxima bounded by the CLT assumptions.
-
-    Computes ``max_i |u_i^T mu|``, ``max_{i,j} |u_i^T b_j|`` and
-    ``max_i |u_i^T l|`` together with the spectrum endpoints.
-    """
-    l = np.asarray(l, dtype=float).reshape(-1)
-    if l.shape[0] != model.p:
-        raise InvalidDimensionError("l must have length p")
-    dec = decompose_sigma(model.sigma)
-    u_t = dec.eigenvectors.T
-    return AssumptionReport(
-        lambda_min=float(dec.eigenvalues[0]),
-        lambda_max=float(dec.eigenvalues[-1]),
-        max_abs_u_mu=float(np.max(np.abs(u_t @ model.mu))),
-        max_abs_u_b=float(np.max(np.abs(u_t @ model.b))) if model.q > 0 else 0.0,
-        max_abs_u_l=float(np.max(np.abs(u_t @ l))),
-    )
-
-
 def sample_data_matrix(
     model: ModelSpec, n: int, rng: RngStream, size: int
 ) -> tuple[NDArray, NDArray]:
@@ -171,7 +136,7 @@ def sample_data_matrix(
     the block of shifts, then one ``(size, p, n)`` normal block.
     """
     if n < 2:
-        raise InvalidDimensionError("n must be >= 2")
+        raise InvalidInputError("n must be >= 2")
     nus = sample_nu(model.nu, rng, size)
     dec = decompose_sigma(model.sigma)
     z = rng.generator.standard_normal((size, model.p, n))
@@ -189,10 +154,10 @@ def sample_mean_and_cov(x: NDArray) -> SampleMoments:
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
-        raise InvalidDimensionError("x must be a (..., p, n) array")
+        raise InvalidInputError("x must be a (..., p, n) array")
     n = x.shape[-1]
     if n < 2:
-        raise InvalidDimensionError("need at least two observations")
+        raise InvalidInputError("need at least two observations")
     xbar = x.mean(axis=-1)
     centered = x - xbar[..., None]
     s_matrix = np.einsum("...in,...jn->...ij", centered, centered) / (n - 1)

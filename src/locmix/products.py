@@ -35,7 +35,7 @@ from .distributions import (
     sample_noncentral_f,
     sample_nu,
 )
-from .errors import InvalidDimensionError, RegimeError, ZeroVectorError
+from .errors import InvalidInputError, RegimeError
 from .model import ModelSpec, decompose_sigma
 from .rng import RngStream
 
@@ -84,7 +84,7 @@ class QuadraticCache:
     def __init__(self, model: ModelSpec, l: NDArray):
         l = np.asarray(l, dtype=float).reshape(-1)
         if l.shape[0] != model.p:
-            raise InvalidDimensionError("l must have length p")
+            raise InvalidInputError("l must have length p")
         dec = decompose_sigma(model.sigma)
         lam = dec.eigenvalues
         u_t = dec.eigenvectors.T
@@ -134,7 +134,7 @@ class QuadraticCache:
         nearly parallel to ``l``.
         """
         if self.l_is_zero:
-            raise ZeroVectorError("l must be nonzero for the precision product")
+            raise InvalidInputError("l must be nonzero for the precision product")
         return (
             nu @ self._l_sigmainv_m[1:] + self._l_sigmainv_m[0],
             self._sigmainv_form(nu),
@@ -159,7 +159,7 @@ def sample_cov_product(
     behind xbar, ``size`` xi, ``size`` z0.
     """
     if n < 2:
-        raise InvalidDimensionError("n must be >= 2")
+        raise InvalidInputError("n must be >= 2")
     nus = sample_nu(cache.nu, rng, size)
     # In the eigenbasis xbar = M x + s z with s = sqrt(Lambda/n), so
     # l'Lambda xbar and xbar'Lambda xbar are the shift forms plus terms in
@@ -196,7 +196,7 @@ def sample_precision_product(
     """
     p = cache.p
     if n < 2:
-        raise InvalidDimensionError("n must be >= 2")
+        raise InvalidInputError("n must be >= 2")
     if p >= n - 1:
         raise RegimeError(f"precision product needs p < n - 1 (got p={p}, n={n})")
     nus = sample_nu(cache.nu, rng, size)

@@ -29,12 +29,12 @@ from .distributions import (
     sample_noncentral_f,
     sample_nu,
 )
-from .errors import InvalidDimensionError, UnsupportedMixingError
+from .errors import InvalidInputError, RegimeError
 from .harness import BLOCK_SIZE, default_nu, generate_paper_model
 from .model import ModelSpec, sample_data_matrix, sample_mean_and_cov
 from .products import (
     ProductKind,
-    precompute_quadratics,
+    QuadraticCache,
     sample_cov_product,
     sample_precision_product,
 )
@@ -141,7 +141,7 @@ def representation_vs_oracle(seed: int) -> list[CheckResult]:
     for p, n, q in [(3, 12, 1), (5, 20, 2), (8, 25, 3)]:
         for family in ("tn", "gal"):
             model, l = dense_test_model(p, q, seed + block, family)
-            cache = precompute_quadratics(model, l)
+            cache = QuadraticCache(model, l)
             for kind in ProductKind:
                 block += 1
                 rep = _block_draws(
@@ -168,7 +168,7 @@ def singular_regime_vs_oracle(seed: int) -> list[CheckResult]:
     cov = ProductKind.COV_TIMES_MEAN
     for k, family in enumerate(("tn", "gal")):
         model, l = dense_test_model(p, q, seed + 31 + k, family)
-        cache = precompute_quadratics(model, l)
+        cache = QuadraticCache(model, l)
         rep = _block_draws(
             _ORACLE_DRAWS, seed + 1, k * _STRIDE, sample_cov_product, cache, n
         )[0]
@@ -338,7 +338,7 @@ def conditional_variance_cov(seed: int) -> list[CheckResult]:
     p, n, n_reps = 200, 2000, 100_000
     model = generate_paper_model(p, default_nu("tn", 10), seed)
     nu_fix = sample_nu(model.nu, RngStream(seed + 11, 0), 1)[0]
-    cache = precompute_quadratics(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
+    cache = QuadraticCache(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
     c = p / n
     vals = _block_draws(n_reps, seed, 14 * _STRIDE, sample_cov_product, cache, n)[0]
     center, target = limit_moments(cache, c, nu_fix, ProductKind.COV_TIMES_MEAN)
@@ -369,7 +369,7 @@ def conditional_variance_precision(seed: int) -> list[CheckResult]:
     p, n, n_reps = 100, 1000, 100_000
     model = generate_paper_model(p, default_nu("tn", 10), seed)
     nu_fix = sample_nu(model.nu, RngStream(seed + 12, 0), 1)[0]
-    cache = precompute_quadratics(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
+    cache = QuadraticCache(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
     c = p / n
     vals = _block_draws(n_reps, seed, 15 * _STRIDE, sample_precision_product, cache, n)[0]
     center_asym, target = limit_moments(cache, c, nu_fix, ProductKind.PRECISION_TIMES_MEAN)
@@ -432,7 +432,7 @@ def _variance_regularity_checks(seed: int) -> list[CheckResult]:
     """Continuity at c = 0 and monotonicity in c of the limit variances."""
     results = []
     model, l = dense_test_model(6, 2, seed + 61)
-    cache = precompute_quadratics(model, l)
+    cache = QuadraticCache(model, l)
     nu_val = nu_mean(model.nu)
     cov, precision = ProductKind.COV_TIMES_MEAN, ProductKind.PRECISION_TIMES_MEAN
     _, s0 = limit_moments(cache, 0.0, nu_val, cov)
@@ -514,12 +514,12 @@ def log_density_mixture_quad(model: ModelSpec, z: NDArray) -> float:
     for validating :func:`log_density` at desk scale.
     """
     if not isinstance(model.nu, TruncatedNormalAbs):
-        raise UnsupportedMixingError("quadrature fallback requires half-normal mixing")
+        raise RegimeError("quadrature fallback requires half-normal mixing")
     if model.q != 1:
-        raise UnsupportedMixingError("quadrature fallback supports q = 1 only")
+        raise RegimeError("quadrature fallback supports q = 1 only")
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] != model.p:
-        raise InvalidDimensionError("data must be (p, n)")
+        raise InvalidInputError("data must be (p, n)")
     n = z.shape[1]
     omega = float(model.nu.omega[0, 0])
     sigma_inv = np.linalg.solve(model.sigma, np.eye(model.p))
@@ -662,5 +662,5 @@ def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
             results.extend(suite(seed))
         return results
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
+        raise InvalidInputError(f"unknown suite {name!r}")
     return SUITES[name](seed)

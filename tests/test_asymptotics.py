@@ -7,15 +7,15 @@ from locmix import (
     Degenerate,
     ModelSpec,
     ProductKind,
+    QuadraticCache,
     RngStream,
     limit_moments,
     nu_mean,
-    precompute_quadratics,
     sample_cov_product,
     sample_nu,
     standardize,
 )
-from locmix.errors import InvalidInputError, RegimeError, ZeroVectorError
+from locmix.errors import InvalidInputError, RegimeError
 from locmix.kde import ks_statistic
 from locmix.verify import dense_test_model, variance_form_identity
 
@@ -27,7 +27,7 @@ def _plain_cache(l):
     model = ModelSpec(
         mu=np.zeros(p), sigma=np.eye(p), b=np.zeros((p, 1)), nu=Degenerate(np.zeros(1))
     )
-    return precompute_quadratics(model, l)
+    return QuadraticCache(model, l)
 
 
 def test_sigma2_identity_case():
@@ -44,7 +44,7 @@ def test_sigma2_hand_value():
         b=np.zeros((2, 1)),
         nu=Degenerate(np.zeros(1)),
     )
-    cache = precompute_quadratics(model, np.array([1.0, 0.0]))
+    cache = QuadraticCache(model, np.array([1.0, 0.0]))
     _, val = limit_moments(cache, 0.1, np.zeros(1), COV)
     assert val == pytest.approx(3.85)
 
@@ -66,7 +66,7 @@ def test_sigma2_tilde_collapse_and_hand_value():
         b=np.zeros((2, 1)),
         nu=Degenerate(np.zeros(1)),
     )
-    cache = precompute_quadratics(hand, np.array([1.0, 0.0]))
+    cache = QuadraticCache(hand, np.array([1.0, 0.0]))
     _, val = limit_moments(cache, 0.0, np.zeros(1), PRECISION)
     assert val == pytest.approx(4.0)
 
@@ -74,7 +74,7 @@ def test_sigma2_tilde_collapse_and_hand_value():
 def test_sigma2_tilde_regime_and_zero_vector():
     with pytest.raises(RegimeError):
         limit_moments(_plain_cache(np.ones(2)), 1.0, np.zeros(1), PRECISION)
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(InvalidInputError):
         limit_moments(_plain_cache(np.zeros(2)), 0.2, np.zeros(1), PRECISION)
 
 
@@ -84,7 +84,7 @@ def test_variance_form_identity_thousand_instances():
 
 
 def test_sigma2_tilde_monotone_in_c():
-    cache = precompute_quadratics(*dense_test_model(4, 2, seed=31))
+    cache = QuadraticCache(*dense_test_model(4, 2, seed=31))
     nu_val = sample_nu(cache.nu, RngStream(30, 0), 1)[0]
     values = [limit_moments(cache, c, nu_val, PRECISION)[1] for c in np.linspace(0, 0.95, 40)]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -92,7 +92,7 @@ def test_sigma2_tilde_monotone_in_c():
 
 def test_variances_strictly_positive_for_nonzero_l():
     for seed in range(20):
-        cache = precompute_quadratics(*dense_test_model(4, 2, seed=200 + seed))
+        cache = QuadraticCache(*dense_test_model(4, 2, seed=200 + seed))
         nu_val = sample_nu(cache.nu, RngStream(35, seed), 1)[0]
         assert limit_moments(cache, 0.3, nu_val, COV)[1] > 0
         assert limit_moments(cache, 0.3, nu_val, PRECISION)[1] > 0
@@ -100,13 +100,13 @@ def test_variances_strictly_positive_for_nonzero_l():
 
 def test_corollary_substitution_identities():
     model, l = dense_test_model(4, 2, seed=32)
-    cache = precompute_quadratics(model, l)
+    cache = QuadraticCache(model, l)
     # The corollary is the conditional call at the shift mean, nu_mean(cache.nu).
     # omega = 0 reduces to the conditional formula at nu = 0.
     _, sigma2 = limit_moments(cache, 0.3, nu_mean(Degenerate(np.zeros(2))), COV)
     assert sigma2 == pytest.approx(limit_moments(cache, 0.3, np.zeros(2), COV)[1])
     # B = 0 makes the formulas shift-independent.
-    zero_b = precompute_quadratics(replace(model, b=np.zeros((4, 2))), l)
+    zero_b = QuadraticCache(replace(model, b=np.zeros((4, 2))), l)
     for nu_val in (np.zeros(2), np.array([1.0, 3.0])):
         assert limit_moments(zero_b, 0.3, nu_val, COV)[1] == pytest.approx(
             limit_moments(zero_b, 0.3, np.zeros(2), COV)[1]
@@ -122,7 +122,7 @@ def test_corollary_substitution_identities():
 
 
 def test_standardize_centering_and_scaling():
-    cache = precompute_quadratics(*dense_test_model(3, 2, seed=33))
+    cache = QuadraticCache(*dense_test_model(3, 2, seed=33))
     nu_val = sample_nu(cache.nu, RngStream(31, 0), 1)[0]
     n = 50
     center, variance = limit_moments(cache, cache.p / n, nu_val, COV)
@@ -134,7 +134,7 @@ def test_standardize_centering_and_scaling():
 
 @pytest.mark.parametrize("kind", list(ProductKind))
 def test_standardize_batch_matches_params_row_by_row(kind):
-    cache = precompute_quadratics(*dense_test_model(6, 3, seed=36))
+    cache = QuadraticCache(*dense_test_model(6, 3, seed=36))
     gen = np.random.default_rng(36)
     nus = np.abs(gen.standard_normal((50, 3)))
     values = gen.uniform(-2.0, 2.0, 50)
@@ -150,9 +150,9 @@ def test_standardize_batch_matches_params_row_by_row(kind):
 def test_standardize_rejects_empty_and_zero_l():
     model, l = dense_test_model(3, 2, seed=34)
     with pytest.raises(InvalidInputError):
-        standardize([], np.empty((0, 2)), precompute_quadratics(model, l), 10, COV)
-    with pytest.raises(ZeroVectorError):
-        zero_l = precompute_quadratics(model, np.zeros(3))
+        standardize([], np.empty((0, 2)), QuadraticCache(model, l), 10, COV)
+    with pytest.raises(InvalidInputError):
+        zero_l = QuadraticCache(model, np.zeros(3))
         standardize([1.0], np.zeros((1, 2)), zero_l, 10, COV)
 
 
@@ -162,7 +162,7 @@ def test_standardized_sample_is_close_to_normal():
 
     p, n, q, count = 50, 500, 10, 20_000
     model = generate_paper_model(p, default_nu("tn", q), 0)
-    cache = precompute_quadratics(model, np.ones(p))
+    cache = QuadraticCache(model, np.ones(p))
     values, nus = sample_cov_product(cache, n, RngStream(32, 0), count)
     out = standardize(values, nus, cache, n, ProductKind.COV_TIMES_MEAN)
     assert ks_statistic(out) <= 0.02
@@ -175,7 +175,7 @@ def test_conditional_variance_reduced():
     p, n, count = 50, 500, 20_000
     model = generate_paper_model(p, default_nu("tn", 10), 0)
     nu_fix = sample_nu(model.nu, RngStream(33, 0), 1)[0]
-    cache = precompute_quadratics(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
+    cache = QuadraticCache(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
     vals, _ = sample_cov_product(cache, n, RngStream(34, 0), count)
     center, target = limit_moments(cache, p / n, nu_fix, COV)
     observed = np.var(np.sqrt(n) * (vals - center), ddof=1)

@@ -9,6 +9,12 @@ import pytest
 
 from locmix import cli
 from locmix.cli import main
+from locmix.errors import (
+    AccuracyNotMetError,
+    InvalidInputError,
+    NotPositiveDefiniteError,
+    RegimeError,
+)
 
 
 def run_cli(*args):
@@ -403,6 +409,35 @@ def test_verify_failing_check_exit_1(monkeypatch, capsys):
     assert doc["passed"] is False
 
 
+def test_verify_unknown_suite_is_invalid_input():
+    from locmix.verify import run_suite
+
+    with pytest.raises(InvalidInputError, match="unknown suite 'nope'"):
+        run_suite("nope")
+
+
+# The exit code and stderr prefix of each error type, as the README lists them.
+_EXIT_CONTRACT = [
+    (InvalidInputError("bad input"), 2, "error: "),
+    (NotPositiveDefiniteError("not positive definite", -1.0), 2, "error: "),
+    (RegimeError("outside the regime"), 3, "error: "),
+    (OSError("disk gone"), 4, "I/O error: "),
+    (AccuracyNotMetError("budget exhausted", 1e-3), 5, "accuracy not met: "),
+]
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix", _EXIT_CONTRACT, ids=[type(c[0]).__name__ for c in _EXIT_CONTRACT]
+)
+def test_exit_code_per_error_type(monkeypatch, capsys, exc, code, prefix):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_verify", fail)
+    assert run_cli("verify", "--suite", "oracle") == code
+    assert capsys.readouterr().err.splitlines() == [prefix + str(exc)]
+
+
 def test_manifest_missing_field_exit_2(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"config": {"p": 10, "n": 60, "block_size": 4096}}))
@@ -649,6 +684,15 @@ def test_manifest_not_an_object_exit_2(tmp_path, monkeypatch, capsys, make_doc):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_replay_manifest_without_config_exit_2(tmp_path, capsys):
+    (tmp_path / "bad.json").write_text(json.dumps({"environment": {}}))
+    code = run_cli("replay", str(tmp_path / "bad.json"), "--out", str(tmp_path / "b"))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: manifest, config and environment must be JSON objects"
+    ]
 
 
 @pytest.mark.parametrize(

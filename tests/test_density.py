@@ -17,10 +17,9 @@ from locmix import (
 )
 from locmix.errors import (
     AccuracyNotMetError,
-    InvalidDimensionError,
     InvalidInputError,
     NotPositiveDefiniteError,
-    UnsupportedMixingError,
+    RegimeError,
 )
 from locmix.verify import (
     collapse_check,
@@ -62,7 +61,7 @@ def test_workspace_rejects_other_mixing():
     model = ModelSpec(
         mu=np.zeros(2), sigma=np.eye(2), b=np.zeros((2, 1)), nu=Degenerate(np.zeros(1))
     )
-    with pytest.raises(UnsupportedMixingError):
+    with pytest.raises(RegimeError):
         build_workspace(model, 3)
 
 
@@ -87,12 +86,12 @@ def test_density_matches_mixture_quadrature():
 
 def test_log_density_dimension_mismatch(tiny_tn_model):
     ws = build_workspace(tiny_tn_model, 2)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidInputError):
         log_density(ws, np.zeros((1, 3)))
 
 
 def test_quadrature_fallback_limits(tiny_tn_model):
-    with pytest.raises(UnsupportedMixingError):
+    with pytest.raises(RegimeError):
         model, _ = dense_test_model(2, 2, seed=1)
         log_density_mixture_quad(model, np.zeros((2, 2)))
 
@@ -165,9 +164,9 @@ def test_identity_omega_needs_no_sobol(no_sobol):
 
 
 def test_orthant_validates_inputs():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidInputError):
         mvn_orthant_cdf(np.zeros(2), np.eye(3))
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidInputError):
         mvn_orthant_cdf(np.zeros(0), np.eye(0))
 
 

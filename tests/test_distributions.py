@@ -13,7 +13,7 @@ from locmix import (
     sample_nu,
 )
 from locmix.distributions import nu_cov, sample_noncentral_chi_squared
-from locmix.errors import InvalidDimensionError, InvalidInputError, NotPositiveDefiniteError
+from locmix.errors import InvalidInputError, NotPositiveDefiniteError
 
 
 def test_stream_determinism():
@@ -44,12 +44,13 @@ def test_chi_squared_moments():
 def test_chi_squared_support_and_errors():
     rng = RngStream(13, 0)
     assert np.all(sample_chi_squared(1, rng, 100) > 0)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidInputError):
         sample_chi_squared(0, rng, 1)
 
 
 def test_noncentral_chi_squared_degenerate_and_moments():
-    assert sample_noncentral_chi_squared(0, 0.0, RngStream(14, 0), 1).tolist() == [0.0]
+    with pytest.raises(InvalidInputError, match="degrees of freedom must be >= 1"):
+        sample_noncentral_chi_squared(0, 8.0, RngStream(14, 0), 1)
     draws = sample_noncentral_chi_squared(50, 25.0, RngStream(14, 1), 100_000)
     assert abs(draws.mean() - 75) / 75 < 0.01
 
@@ -58,13 +59,6 @@ def test_noncentral_chi_squared_lambda_zero_reduces_to_central():
     nc = sample_noncentral_chi_squared(7, 0.0, RngStream(15, 0), 10_000)
     central = sample_chi_squared(7, RngStream(15, 1), 10_000)
     assert ks_2samp(nc, central).statistic <= 0.02
-
-
-def test_noncentral_chi_squared_zero_dof_with_noncentrality():
-    # The Poisson-mixture construction supports k = 0 with lambda > 0.
-    draws = sample_noncentral_chi_squared(0, 8.0, RngStream(16, 0), 50_000)
-    assert np.all(draws >= 0)
-    assert abs(draws.mean() - 8.0) / 8.0 < 0.02
 
 
 def test_noncentral_f_moments_and_support():
@@ -78,18 +72,21 @@ def test_noncentral_f_moments_and_support():
 
 
 def test_noncentral_f_rejects_zero_dof():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidInputError):
         sample_noncentral_f(0, 10, 1.0, RngStream(18, 0), 1)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidInputError):
         sample_noncentral_f(10, 0, 1.0, RngStream(18, 0), 1)
 
 
 def test_noncentral_blocks_take_one_noncentrality_per_draw():
     lam = np.array([0.0, 8.0, 0.0, 3.0])
-    draws = sample_noncentral_chi_squared(0, lam, RngStream(24, 0), size=4)
-    assert draws[0] == 0.0 and draws[2] == 0.0
-    assert draws[1] > 0.0 and draws[3] > 0.0
-    # A block draws its Poisson variates, then numerators, then denominators.
+    # A block draws one Poisson variate per draw at its own lam, then the
+    # chi-squared variates.
+    draws = sample_noncentral_chi_squared(1, lam, RngStream(24, 0), size=4)
+    gen = RngStream(24, 0).generator
+    expected = gen.chisquare(1 + 2 * gen.poisson(lam / 2.0))
+    np.testing.assert_array_equal(draws, expected)
+    # An F block draws its Poisson variates, then numerators, then denominators.
     rng = RngStream(24, 1)
     f_block = sample_noncentral_f(2, 5, lam, rng, size=4)
     gen = RngStream(24, 1).generator
@@ -123,7 +120,7 @@ def test_nu_distribution_validation():
         TruncatedNormalAbs(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         GeneralizedAsymmetricLaplace(np.ones(2), np.eye(2), 0.0)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidInputError):
         GeneralizedAsymmetricLaplace(np.ones(3), np.eye(2), 1.0)
 
 

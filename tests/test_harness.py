@@ -16,7 +16,7 @@ from locmix.harness import (
     summarize_experiment,
 )
 from locmix.kde import DEFAULT_KDE_GRID, default_bandwidth_grid, ks_statistic
-from locmix.model import verify_assumptions
+from locmix.model import decompose_sigma
 
 
 def small_config(**overrides):
@@ -48,13 +48,14 @@ def test_generate_paper_model_ranges_and_determinism():
 
 
 def test_generated_model_satisfies_boundedness():
-    # Diagonal covariance makes eigenvectors coordinate axes, so the
-    # eigen-basis maxima are just the largest entries of mu and B.
+    # The paper bounds the projections of mu, the columns of B and l on
+    # the eigenvectors of Sigma.  Sigma is diagonal, so its eigenvectors
+    # are coordinate axes and the maxima are the largest entries.
     model = generate_paper_model(25, default_nu("tn", 10), 5)
-    report = verify_assumptions(model, np.ones(25))
-    assert report.max_abs_u_mu <= 1.0
-    assert report.max_abs_u_b <= 1.0
-    assert report.max_abs_u_l == 1.0
+    u_t = decompose_sigma(model.sigma).eigenvectors.T
+    assert np.max(np.abs(u_t @ model.mu)) <= 1.0
+    assert np.max(np.abs(u_t @ model.b)) <= 1.0
+    assert np.max(np.abs(u_t @ np.ones(25))) == 1.0
 
 
 def test_config_validation():

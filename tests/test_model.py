@@ -14,12 +14,7 @@ from locmix import (
 )
 from locmix.distributions import nu_mean
 from locmix.harness import default_nu
-from locmix.model import verify_assumptions
-from locmix.errors import (
-    InvalidDimensionError,
-    InvalidInputError,
-    NotPositiveDefiniteError,
-)
+from locmix.errors import InvalidInputError, NotPositiveDefiniteError
 from locmix.verify import dense_test_model
 
 
@@ -74,38 +69,15 @@ def test_decompose_rejects_asymmetric():
         decompose_sigma(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
-def test_verify_assumptions_diagonal_case():
-    model = ModelSpec(
-        mu=np.array([0.5, -0.2]),
-        sigma=np.diag([1.0, 4.0]),
-        b=np.zeros((2, 1)),
-        nu=Degenerate(np.zeros(1)),
-    )
-    report = verify_assumptions(model, np.ones(2))
-    assert report.max_abs_u_mu == pytest.approx(0.5)
-    assert report.max_abs_u_b == 0.0
-    assert report.max_abs_u_l == pytest.approx(1.0)
-    assert report.lambda_min == pytest.approx(1.0)
-    assert report.lambda_max == pytest.approx(4.0)
-
-
-def test_verify_assumptions_dimension_mismatch():
-    model = ModelSpec(
-        mu=np.zeros(2), sigma=np.eye(2), b=np.zeros((2, 1)), nu=Degenerate(np.zeros(1))
-    )
-    with pytest.raises(InvalidDimensionError):
-        verify_assumptions(model, np.ones(3))
-
-
 def test_model_spec_validation():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidInputError):
         ModelSpec(
             mu=np.zeros(2),
             sigma=np.eye(3),
             b=np.zeros((2, 1)),
             nu=Degenerate(np.zeros(1)),
         )
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidInputError):
         ModelSpec(
             mu=np.zeros(2),
             sigma=np.eye(2),
@@ -183,7 +155,7 @@ def test_sample_data_matrix_block_draw_order():
 
 def test_sample_data_matrix_requires_two_columns():
     model, _ = dense_test_model(2, 1, seed=10)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidInputError):
         sample_data_matrix(model, 1, RngStream(1, 0), 1)
 
 
@@ -215,7 +187,7 @@ def test_sample_mean_and_cov_stack_matches_each_matrix(p, n):
 
 
 def test_sample_mean_and_cov_errors():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidInputError):
         sample_mean_and_cov(np.ones((3, 1)))
 
 

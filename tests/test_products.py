@@ -8,13 +8,13 @@ from locmix import (
     Degenerate,
     ModelSpec,
     ProductKind,
+    QuadraticCache,
     RngStream,
-    precompute_quadratics,
     sample_cov_product,
     sample_nu,
     sample_precision_product,
 )
-from locmix.errors import RegimeError, ZeroVectorError
+from locmix.errors import InvalidInputError, RegimeError
 from locmix.verify import dense_test_model, oracle_product_draws
 
 COV, PRECISION = ProductKind.COV_TIMES_MEAN, ProductKind.PRECISION_TIMES_MEAN
@@ -27,7 +27,7 @@ def test_delta_sq_examples():
         b=np.zeros((3, 1)),
         nu=Degenerate(np.zeros(1)),
     )
-    cache = precompute_quadratics(model, np.array([1.0, 0.0, 0.0]))
+    cache = QuadraticCache(model, np.array([1.0, 0.0, 0.0]))
     _, _, delta_sq = cache.precision_forms(np.zeros(1))
     assert delta_sq == pytest.approx(13.0, abs=1e-12)
 
@@ -38,7 +38,7 @@ def test_delta_sq_examples():
         b=np.zeros((3, 1)),
         nu=Degenerate(np.zeros(1)),
     )
-    cache = precompute_quadratics(parallel, np.array([1.0, 0.0, 0.0]))
+    cache = QuadraticCache(parallel, np.array([1.0, 0.0, 0.0]))
     _, _, delta_sq = cache.precision_forms(np.zeros(1))
     assert delta_sq == pytest.approx(0.0, abs=1e-12)
 
@@ -46,7 +46,7 @@ def test_delta_sq_examples():
 def test_delta_sq_matches_dense_projection():
     model, l = dense_test_model(5, 2, seed=21)
     nu_val = sample_nu(model.nu, RngStream(5, 0), 1)[0]
-    cache = precompute_quadratics(model, l)
+    cache = QuadraticCache(model, l)
     _, _, delta_sq = cache.precision_forms(nu_val)
     sigma_inv = np.linalg.inv(model.sigma)
     r_l = sigma_inv - np.outer(sigma_inv @ l, sigma_inv @ l) / (l @ sigma_inv @ l)
@@ -76,7 +76,7 @@ def _direct_shift_forms(model, l, nu):
 def test_shift_forms_match_direct_sums(p, q):
     # (1, 3) has q + 1 > p, so the triangular factors have min(p, q+1) rows.
     model, l = dense_test_model(p, q, seed=35)
-    cache = precompute_quadratics(model, l)
+    cache = QuadraticCache(model, l)
     nus = sample_nu(model.nu, RngStream(36, p), 6)
 
     def forms(nu):
@@ -102,7 +102,7 @@ def test_delta_sq_near_parallel_shift(p, q):
     e[-1] = 1.0
     mu = 2.0 * l + 1e-6 * e
     parallel = ModelSpec(mu=mu, sigma=model.sigma, b=model.b, nu=model.nu)
-    _, _, delta_sq = precompute_quadratics(parallel, l).precision_forms(np.zeros(q))
+    _, _, delta_sq = QuadraticCache(parallel, l).precision_forms(np.zeros(q))
     dev = mu - 2.0 * l
     resid = dev - (l @ np.linalg.solve(model.sigma, dev)) / (
         l @ np.linalg.solve(model.sigma, l)
@@ -113,7 +113,7 @@ def test_delta_sq_near_parallel_shift(p, q):
 
 def test_cov_product_zero_l_short_circuits():
     model, _ = dense_test_model(4, 2, seed=22)
-    cache = precompute_quadratics(model, np.zeros(4))
+    cache = QuadraticCache(model, np.zeros(4))
     draws, _ = sample_cov_product(cache, 10, RngStream(6, 0), 20)
     assert draws.tolist() == [0.0] * 20
 
@@ -129,7 +129,7 @@ def test_cov_product_p1_has_no_noise_term():
     )
     l = np.array([1.7])
     n = 9
-    (value,), _ = sample_cov_product(precompute_quadratics(model, l), n, RngStream(7, 1), 1)
+    (value,), _ = sample_cov_product(QuadraticCache(model, l), n, RngStream(7, 1), 1)
     gen = RngStream(7, 1).generator
     z = gen.standard_normal(1)
     xbar = 0.4 + 0.3 * 2.0 + np.sqrt(2.5) * z[0] / np.sqrt(n)
@@ -142,7 +142,7 @@ def test_cov_product_p1_has_no_noise_term():
 def test_linearity_exact_ratio():
     model, l = dense_test_model(6, 2, seed=23)
     n = 20
-    one, two = precompute_quadratics(model, l), precompute_quadratics(model, 2.0 * l)
+    one, two = QuadraticCache(model, l), QuadraticCache(model, 2.0 * l)
     for sampler, seed in ((sample_cov_product, 8), (sample_precision_product, 9)):
         a, _ = sampler(one, n, RngStream(seed, 0), 50)
         b, _ = sampler(two, n, RngStream(seed, 0), 50)
@@ -152,7 +152,7 @@ def test_linearity_exact_ratio():
 def test_degenerate_law_cache_conditions_on_its_shift():
     model, l = dense_test_model(4, 2, seed=24)
     nu_val = np.array([0.5, 1.5])
-    cache = precompute_quadratics(replace(model, nu=Degenerate(nu_val)), l)
+    cache = QuadraticCache(replace(model, nu=Degenerate(nu_val)), l)
     for sampler in (sample_cov_product, sample_precision_product):
         values, nus = sampler(cache, 15, RngStream(10, 0), 6)
         np.testing.assert_array_equal(nus, [nu_val] * 6)
@@ -165,9 +165,9 @@ def test_degenerate_law_cache_conditions_on_its_shift():
 def test_precision_requires_regime_and_nonzero_l():
     model, l = dense_test_model(5, 2, seed=26)
     with pytest.raises(RegimeError):
-        sample_precision_product(precompute_quadratics(model, l), 6, RngStream(12, 0), 1)
-    zero_l = precompute_quadratics(model, np.zeros(5))
-    with pytest.raises(ZeroVectorError):
+        sample_precision_product(QuadraticCache(model, l), 6, RngStream(12, 0), 1)
+    zero_l = QuadraticCache(model, np.zeros(5))
+    with pytest.raises(InvalidInputError):
         sample_precision_product(zero_l, 20, RngStream(12, 0), 1)
 
 
@@ -180,7 +180,7 @@ def test_precision_p1_degenerate_branch():
     )
     l = np.array([1.7])
     n = 12
-    cache = precompute_quadratics(model, l)
+    cache = QuadraticCache(model, l)
     (value,), _ = sample_precision_product(cache, n, RngStream(13, 0), 1)
     gen = RngStream(13, 0).generator
     xi = gen.chisquare(n - 1)
@@ -201,7 +201,7 @@ def test_p1_blocks_replay_documented_draw_order():
     )
     l = np.array([1.7])
     n = 12
-    cache = precompute_quadratics(model, l)
+    cache = QuadraticCache(model, l)
     values, nus = sample_cov_product(cache, n, RngStream(7, 2), 3)
     gen = RngStream(7, 2).generator
     z = gen.standard_normal((3, 1))[:, 0]
@@ -223,7 +223,7 @@ def test_p1_blocks_replay_documented_draw_order():
 def test_cov_product_matches_oracle(family):
     model, l = dense_test_model(5, 2, seed=27, family=family)
     n, count = 20, 4000
-    cache = precompute_quadratics(model, l)
+    cache = QuadraticCache(model, l)
     rep, _ = sample_cov_product(cache, n, RngStream(14, 0), count)
     orc = oracle_product_draws(model, l, n, 15, count, COV)
     assert ks_2samp(rep, orc).statistic <= 0.04
@@ -233,7 +233,7 @@ def test_cov_product_matches_oracle(family):
 def test_precision_product_matches_oracle(family):
     model, l = dense_test_model(5, 2, seed=28, family=family)
     n, count = 30, 4000
-    cache = precompute_quadratics(model, l)
+    cache = QuadraticCache(model, l)
     rep, _ = sample_precision_product(cache, n, RngStream(16, 0), count)
     orc = oracle_product_draws(model, l, n, 17, count, PRECISION)
     assert ks_2samp(rep, orc).statistic <= 0.04
@@ -242,7 +242,7 @@ def test_precision_product_matches_oracle(family):
 def test_cov_product_singular_regime_matches_oracle():
     model, l = dense_test_model(15, 2, seed=29)
     n, count = 10, 3000
-    cache = precompute_quadratics(model, l)
+    cache = QuadraticCache(model, l)
     rep, _ = sample_cov_product(cache, n, RngStream(18, 0), count)
     orc = oracle_product_draws(model, l, n, 19, count, COV)
     assert ks_2samp(rep, orc).statistic <= 0.05
