@@ -22,6 +22,7 @@ significant digits so that 64-bit floats round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -53,6 +54,9 @@ from .rng import BIT_GENERATOR
 
 logger = logging.getLogger(__name__)
 
+# Values per formatted chunk of samples.csv.
+_CSV_CHUNK = 1 << 16
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -72,15 +76,45 @@ def _config_to_json(cfg: ExperimentConfig, normal_column: bool) -> dict:
     }
 
 
+def _blas_threads() -> int | None:
+    """Thread count of the OpenBLAS bundled with numpy; None if it cannot be read."""
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib_path in sorted(libdir.glob("*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(lib_path))
+        except OSError:
+            continue
+        for symbol in (
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
 def _environment() -> dict:
-    """Versions, bit generator and BLAS that determine the bytes of a run."""
+    """Versions, bit generator and BLAS that determine the bytes of a run.
+
+    OpenBLAS rounds a matrix product differently at different thread
+    counts, so the BLAS entry records its threads too.
+    """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "bit_generator": BIT_GENERATOR,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {
+            "name": blas.get("name"),
+            "version": blas.get("version"),
+            "threads": _blas_threads(),
+        },
     }
 
 
@@ -132,6 +166,19 @@ def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
     return ExperimentConfig(**fields), bool(doc.get("kde_normal_column", False))
 
 
+def _write_samples(path: Path, standardized: np.ndarray) -> None:
+    """``samples.csv``: a header, then each value as :func:`_fmt` writes it.
+
+    One ``%`` format per fixed chunk of values, so the text held at once
+    is one chunk's, whatever the number of replicates.
+    """
+    with open(path, "w") as f:
+        f.write("standardized\n")
+        for start in range(0, standardized.size, _CSV_CHUNK):
+            chunk = standardized[start : start + _CSV_CHUNK].tolist()
+            f.write("%.17g\n" * len(chunk) % tuple(chunk))
+
+
 def _write_outputs(
     out_dir: Path,
     cfg: ExperimentConfig,
@@ -141,9 +188,7 @@ def _write_outputs(
     normal_column: bool,
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    # The same text as _fmt, formatted from Python floats in one pass.
-    body = "\n".join(map("%.17g".__mod__, standardized.tolist()))
-    (out_dir / "samples.csv").write_text("standardized\n" + body + "\n")
+    _write_samples(out_dir / "samples.csv", standardized)
 
     if normal_column:
         header = "x,density,normal"
@@ -218,7 +263,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     ):
         raise InvalidInputError("manifest, config and environment must be JSON objects")
     cfg, normal_column = _config_from_json(doc["config"])
-    written_with = doc.get("environment", {}).get("numpy")
+    env = doc.get("environment", {})
+    written_with = env.get("numpy")
     if written_with != np.__version__:
         logger.warning(
             "manifest was written with numpy %s but this is numpy %s; numpy "
@@ -226,6 +272,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             "the replay may not be byte-identical",
             written_with,
             np.__version__,
+        )
+    blas = env.get("blas")
+    written_threads = blas.get("threads") if isinstance(blas, dict) else None
+    threads = _blas_threads()
+    if written_threads != threads:
+        logger.warning(
+            "manifest was written with %s BLAS threads but this process has %s; "
+            "OpenBLAS rounds matrix products differently at other thread "
+            "counts, so the replay may not be byte-identical",
+            written_threads,
+            threads,
         )
     return _run_and_write(cfg, args.out, args.threads, normal_column)
 

@@ -46,7 +46,8 @@ def symmetric_matrix(value, name: str) -> NDArray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInputError(f"{name} must be a square matrix")
     scale = np.max(np.abs(arr), initial=0.0)
-    asym = np.max(np.abs(arr - arr.T), initial=0.0)
+    diff = arr - arr.T
+    asym = np.max(np.abs(diff, out=diff), initial=0.0)
     if asym > 1e-12 * scale:
         raise InvalidInputError(
             f"{name} is not symmetric (relative asymmetry {asym / scale:.3e})"

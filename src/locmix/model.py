@@ -111,10 +111,11 @@ def decompose_sigma(sigma: NDArray) -> SigmaDecomposition:
     sigma = symmetric_matrix(sigma, "sigma")
     p = sigma.shape[0]
     diag = np.diag(sigma)
-    if np.count_nonzero(sigma - np.diag(diag)) == 0:
+    if np.count_nonzero(sigma) == np.count_nonzero(diag):
         order = np.argsort(diag, kind="stable")
         lam = diag[order]
-        vec = np.eye(p)[:, order]
+        vec = np.zeros((p, p))
+        vec[order, np.arange(p)] = 1.0
     else:
         lam, vec = np.linalg.eigh(sigma)
     lam_min = float(lam[0])

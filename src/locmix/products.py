@@ -21,6 +21,13 @@ matrix.  After that one-time rotation, a covariance draw
 costs its p normals and one O(p q) contraction of them, and a precision
 draw costs O(q^2): the shift enters only through forms that
 :class:`QuadraticCache` reduces to (q+1)-vectors and triangular factors.
+
+The covariance sampler draws a block's ``(size, p)`` normals in even row
+tiles of at most :data:`TILE_NORMALS` (8 MiB) into one reused buffer and
+contracts each tile as soon as it is drawn, so a call's working set does
+not grow with ``size * p``.  The tiles take the block's normals in stream
+order and each row's contraction is unchanged, so the draws are the bytes
+of one ``(size, p)`` call.
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ from .distributions import (
 from .errors import InvalidInputError, RegimeError
 from .model import ModelSpec, decompose_sigma
 from .rng import RngStream
+
+
+# Most normals a covariance draw holds at once (8 MiB of float64).
+TILE_NORMALS = 1 << 20
 
 
 class ProductKind(enum.Enum):
@@ -166,12 +177,25 @@ def sample_cov_product(
     # z @ (s Lambda [l, M]) and sum(Lambda s^2 z^2): the (size, p) mean is
     # never built.
     gen = rng.generator
-    z = gen.standard_normal((size, cache.p))
-    zw = z @ (np.sqrt(cache.eigenvalues / n)[:, None] * cache.lam_l_m)
+    w = np.sqrt(cache.eigenvalues / n)[:, None] * cache.lam_l_m
+    lam_sq = cache.eigenvalues**2 / n
+    zw = np.empty((size, w.shape[1]))
+    quad_z = np.empty(size)
+    # The normals come in row tiles of at most TILE_NORMALS, split evenly so
+    # that each tile of a multi-tile block holds about TILE_NORMALS / 2 or
+    # more: OpenBLAS hands GEMMs with M N K <= 1e6 to a small-matrix kernel
+    # that rounds differently, and these bytes must not depend on the tiling.
+    tiles = -(-size // max(1, TILE_NORMALS // cache.p))
+    z_buf = np.empty((-(-size // tiles), cache.p))
+    for k in range(tiles):
+        lo, hi = size * k // tiles, size * (k + 1) // tiles
+        z = gen.standard_normal(out=z_buf[: hi - lo])
+        np.matmul(z, w, out=zw[lo:hi])
+        np.einsum("ij,ij,j->i", z, z, lam_sq, out=quad_z[lo:hi])
     g_mu, quad_mu = cache.cov_forms(nus)
     g = zw[:, 0] + g_mu
     cross = zw[:, 1] + np.einsum("ij,ij->i", zw[:, 2:], nus)
-    quad = np.einsum("ij,ij,j->i", z, z, cache.eigenvalues**2 / n) + 2.0 * cross + quad_mu
+    quad = quad_z + 2.0 * cross + quad_mu
     xi = sample_chi_squared(n - 1, rng, size)
     z0 = gen.standard_normal(size)
     if cache.p == 1:

@@ -561,8 +561,23 @@ def test_manifest_records_stream_contract_and_environment(tmp_path):
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "bit_generator": "PCG64",
-        "blas": {"name": blas["name"], "version": blas["version"]},
+        "blas": {
+            "name": blas["name"],
+            "version": blas["version"],
+            "threads": cli._blas_threads(),
+        },
     }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blas_threads_read_from_numpy_openblas(threads):
+    if cli._blas_threads() is None:
+        pytest.skip("numpy does not bundle an OpenBLAS whose thread count can be read")
+    code = (
+        f"import os; os.environ['OPENBLAS_NUM_THREADS'] = '{threads}'; "
+        "from locmix import cli; print(cli._blas_threads())"
+    )
+    assert _fresh_interpreter(code).stdout.split() == [str(threads)]
 
 
 @pytest.mark.parametrize("block_size", [None, 1])
@@ -596,6 +611,28 @@ def test_manifest_replay_other_numpy_warns(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="locmix.cli"):
         run_cli("replay", str(out1 / "manifest.json"), "--out", str(out2))
     assert not caplog.records
+
+
+def test_manifest_replay_other_blas_threads_warns(tmp_path, caplog):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    run_cli(*simulate_args(out1))
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest["environment"]["blas"]["threads"] = 64
+    (tmp_path / "other.json").write_text(json.dumps(manifest))
+    with caplog.at_level("WARNING", logger="locmix.cli"):
+        assert run_cli("replay", str(tmp_path / "other.json"), "--out", str(out2)) == 0
+    (record,) = caplog.records
+    assert "written with 64 BLAS threads" in record.getMessage()
+    assert f"this process has {cli._blas_threads()};" in record.getMessage()
+
+
+def test_samples_csv_chunks_match_one_join(tmp_path):
+    values = np.random.default_rng(3).standard_normal(2 * cli._CSV_CHUNK + 3)
+    values[:4] = [-0.0, 1e-300, 0.1, np.pi]
+    cli._write_samples(tmp_path / "samples.csv", values)
+    body = "\n".join(map("%.17g".__mod__, values.tolist()))
+    expected = ("standardized\n" + body + "\n").encode()
+    assert (tmp_path / "samples.csv").read_bytes() == expected
 
 
 def test_density_far_tail_exit_5_without_infinity(tmp_path, capsys):

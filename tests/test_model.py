@@ -40,6 +40,14 @@ def test_decompose_diagonal_orders_ascending():
     }
 
 
+def test_decompose_diagonal_with_ties_matches_permuted_identity():
+    diag = np.array([3.0, 1.0, 3.0, 0.5, 1.0, 2.0, 0.5])
+    dec = decompose_sigma(np.diag(diag))
+    order = np.argsort(diag, kind="stable")
+    np.testing.assert_array_equal(dec.eigenvalues, diag[order])
+    np.testing.assert_array_equal(dec.eigenvectors, np.eye(diag.size)[:, order])
+
+
 def test_decompose_reconstruction_random_spd():
     gen = np.random.default_rng(5)
     a = gen.standard_normal((6, 6))

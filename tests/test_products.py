@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,9 @@ from locmix import (
     sample_nu,
     sample_precision_product,
 )
+from locmix.distributions import sample_chi_squared
 from locmix.errors import InvalidInputError, RegimeError
+from locmix.harness import default_nu, generate_paper_model
 from locmix.verify import dense_test_model, oracle_product_draws
 
 COV, PRECISION = ProductKind.COV_TIMES_MEAN, ProductKind.PRECISION_TIMES_MEAN
@@ -246,3 +249,47 @@ def test_cov_product_singular_regime_matches_oracle():
     rep, _ = sample_cov_product(cache, n, RngStream(18, 0), count)
     orc = oracle_product_draws(model, l, n, 19, count, COV)
     assert ks_2samp(rep, orc).statistic <= 0.05
+
+
+def _one_shot_cov_product(cache, n, rng, size):
+    """The covariance sampler with all ``(size, p)`` normals drawn and contracted at once."""
+    nus = sample_nu(cache.nu, rng, size)
+    gen = rng.generator
+    z = gen.standard_normal((size, cache.p))
+    zw = z @ (np.sqrt(cache.eigenvalues / n)[:, None] * cache.lam_l_m)
+    g_mu, quad_mu = cache.cov_forms(nus)
+    g = zw[:, 0] + g_mu
+    cross = zw[:, 1] + np.einsum("ij,ij->i", zw[:, 2:], nus)
+    quad = np.einsum("ij,ij,j->i", z, z, cache.eigenvalues**2 / n) + 2.0 * cross + quad_mu
+    xi = sample_chi_squared(n - 1, rng, size)
+    z0 = gen.standard_normal(size)
+    bracket = np.maximum(quad * cache.l_sigma_l - g * g, 0.0)
+    return xi / (n - 1) * g + np.sqrt(xi) * np.sqrt(bracket) * z0 / (n - 1), nus
+
+
+@pytest.mark.parametrize(
+    "p, q, size",
+    [(950, 1, 4096), (1200, 3, 4096), (300, 1, 4096), (950, 10, 1696), (50, 10, 4096), (950, 10, 1)],
+)
+def test_cov_product_tiles_keep_one_shot_bytes(p, q, size):
+    # Tiling the normals must change neither the draw order nor the GEMM's
+    # rounding; q <= 3 is where a too-small tile would reach OpenBLAS's
+    # small-matrix kernel.
+    cache = QuadraticCache(generate_paper_model(p, default_nu("tn", q), 2), np.ones(p))
+    values, nus = sample_cov_product(cache, 1000, RngStream(3, p + q), size)
+    ref_values, ref_nus = _one_shot_cov_product(cache, 1000, RngStream(3, p + q), size)
+    np.testing.assert_array_equal(nus, ref_nus)
+    np.testing.assert_array_equal(values, ref_values)
+
+
+def test_cov_product_memory_is_one_tile():
+    # 4096 x 2000 normals are 66 MB at once; a tile holds at most 8 MiB.
+    p = 2000
+    cache = QuadraticCache(generate_paper_model(p, default_nu("tn", 10), 0), np.ones(p))
+    tracemalloc.start()
+    try:
+        sample_cov_product(cache, 400, RngStream(1, 0), 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
