@@ -48,7 +48,7 @@ from .errors import (
     NotPositiveDefiniteError,
     RegimeError,
 )
-from .model import ModelSpec, decompose_sigma
+from .model import ModelSpec, SigmaDecomposition, decompose_sigma
 from .rng import RngStream
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -251,8 +251,8 @@ def mvn_orthant_cdf(mean: NDArray, cov: NDArray, rng: RngStream | None = None) -
 class DensityWorkspace:
     """A half-normal-mixing model prepared for data matrices of n columns.
 
-    ``white`` whitens a column (``white.T @ white = Sigma^{-1}``),
-    ``white_b = white @ B``, and ``prior`` whitens the shift
+    ``dec`` whitens a column x as ``W x = Lambda^{-1/2} U'x`` (:func:`_whiten`),
+    ``white_b = W B``, and ``prior`` whitens the shift
     (``prior.T @ prior = Omega^{-1}``).  ``basis`` (the top p rows of Q)
     and ``r_inv`` (R^{-1}) come from the QR factorization ``[sqrt(n)
     white_b; prior] = Q R``.  ``d_matrix = r_inv @ r_inv.T`` is the
@@ -263,7 +263,7 @@ class DensityWorkspace:
 
     mu: NDArray
     n: int
-    white: NDArray
+    dec: SigmaDecomposition
     white_b: NDArray
     prior: NDArray
     basis: NDArray
@@ -288,8 +288,7 @@ def build_workspace(model: ModelSpec, n: int) -> DensityWorkspace:
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     dec = decompose_sigma(model.sigma)
-    white = dec.eigenvectors.T / np.sqrt(dec.eigenvalues)[:, None]
-    white_b = white @ model.b
+    white_b = _whiten(dec, model.b)
     omega_chol = model.nu._chol
     prior = np.linalg.inv(omega_chol)
     basis, r = np.linalg.qr(np.vstack([np.sqrt(n) * white_b, prior]))
@@ -303,7 +302,7 @@ def build_workspace(model: ModelSpec, n: int) -> DensityWorkspace:
     return DensityWorkspace(
         mu=model.mu,
         n=n,
-        white=white,
+        dec=dec,
         white_b=white_b,
         prior=prior,
         basis=basis[: model.p],
@@ -312,6 +311,11 @@ def build_workspace(model: ModelSpec, n: int) -> DensityWorkspace:
         log_det_f=float(log_det_f),
         log_c=float(log_c),
     )
+
+
+def _whiten(dec: SigmaDecomposition, x: NDArray) -> NDArray:
+    """``Lambda^{-1/2} U'x`` as ``1/sqrt(lambda)`` times ``U'x``; dividing rounds otherwise."""
+    return (1.0 / np.sqrt(dec.eigenvalues))[:, None] * dec.rotate(x)
 
 
 def log_density(workspace: DensityWorkspace, z: NDArray) -> float:
@@ -332,7 +336,7 @@ def log_density(workspace: DensityWorkspace, z: NDArray) -> float:
     p = ws.mu.shape[0]
     if z.shape != (p, ws.n):
         raise InvalidInputError(f"data must be (p, n) = ({p}, {ws.n}); got {z.shape}")
-    w = ws.white @ (z - ws.mu[:, None])
+    w = _whiten(ws.dec, z - ws.mu[:, None])
     wbar = w.mean(axis=1)
     nu_hat = ws.r_inv @ (ws.basis.T @ (np.sqrt(ws.n) * wbar))
     resid = wbar - ws.white_b @ nu_hat

@@ -93,9 +93,9 @@ def generate_paper_model(p: int, nu: NuDistribution, model_seed: int) -> ModelSp
 
     Deterministic in its seed.  The loading has ``nu.q`` columns.  Mean
     entries are Uniform[-1, 1], loading entries Uniform[0, 1], and the
-    covariance is diagonal with Uniform[0, 1] entries; diagonal entries
-    below 1e-6 are resampled (the spectrum must stay bounded away from
-    zero) and the event is logged.  Draw order: mu, b, diagonal.
+    covariance is diagonal, held as its ``(p,)`` diagonal of Uniform[0, 1]
+    entries; entries below 1e-6 are resampled (the spectrum must stay
+    bounded away from zero) and the event is logged.  Draw order: mu, b, diagonal.
     """
     gen = RngStream(model_seed, 0).generator
     mu = gen.uniform(-1.0, 1.0, size=p)
@@ -112,7 +112,7 @@ def generate_paper_model(p: int, nu: NuDistribution, model_seed: int) -> ModelSp
             n_resampled,
             _MIN_SIGMA_ENTRY,
         )
-    return ModelSpec(mu=mu, sigma=np.diag(diag), b=b, nu=nu)
+    return ModelSpec(mu=mu, sigma=diag, b=b, nu=nu)
 
 
 def _draw_range(

@@ -33,8 +33,8 @@ class ModelSpec:
     ----------
     mu : (p,) ndarray
         Mean vector of the Gaussian part.
-    sigma : (p, p) ndarray
-        Symmetric positive-definite column covariance.
+    sigma : (p, p) or (p,) ndarray
+        Symmetric positive-definite column covariance, or its diagonal.
     b : (p, q) ndarray
         Loading matrix applied to the random shift.
     nu : NuDistribution
@@ -53,8 +53,8 @@ class ModelSpec:
         if b.ndim != 2:
             raise InvalidInputError("b must be a (p, q) matrix")
         p = mu.shape[0]
-        if sigma.shape != (p, p):
-            raise InvalidInputError("sigma must be (p, p) matching mu")
+        if sigma.shape not in ((p, p), (p,)):
+            raise InvalidInputError("sigma must be (p, p) or (p,) matching mu")
         if b.shape[0] != p:
             raise InvalidInputError("b must have p rows")
         if b.shape[1] != self.nu.q:
@@ -76,14 +76,24 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SigmaDecomposition:
-    """Eigendecomposition of the column covariance.
+    """Eigendecomposition ``Sigma = U diag(eigenvalues) U'``, eigenvalues ascending.
 
-    ``eigenvalues`` are ascending and ``eigenvectors`` holds the matching
-    orthonormal columns.
+    Only :meth:`rotate` and :meth:`unrotate` read U: the matrix from ``eigh``,
+    or for a diagonal Sigma the ``(p,)`` index ``order`` of ``U = I[:, order]``.
     """
 
     eigenvalues: NDArray
-    eigenvectors: NDArray
+    _basis: NDArray
+
+    def rotate(self, x: NDArray) -> NDArray:
+        """``U'x`` for ``x`` of shape ``(p,)`` or ``(p, k)``."""
+        return x[self._basis] if self._basis.ndim == 1 else self._basis.T @ x
+
+    def unrotate(self, y: NDArray, scale: NDArray) -> NDArray:
+        """``U diag(scale) y`` for ``y`` of shape ``(..., p, k)``."""
+        if self._basis.ndim == 1:
+            return (scale[:, None] * y)[..., np.argsort(self._basis), :]
+        return (self._basis * scale) @ y
 
 
 @dataclass(frozen=True)
@@ -95,10 +105,10 @@ class SampleMoments:
 
 
 def decompose_sigma(sigma: NDArray) -> SigmaDecomposition:
-    """Eigendecompose a symmetric positive-definite matrix.
+    """Eigendecompose a symmetric positive-definite matrix or its ``(p,)`` diagonal.
 
-    Diagonal input takes an exact fast path (sorted permutation basis);
-    otherwise ``numpy.linalg.eigh`` is used.
+    Diagonal input takes an exact fast path (sorted index basis, no p x p
+    array); otherwise ``numpy.linalg.eigh`` is used.
 
     Raises
     ------
@@ -106,24 +116,21 @@ def decompose_sigma(sigma: NDArray) -> SigmaDecomposition:
         If the smallest eigenvalue is not strictly positive; the error
         carries that eigenvalue.
     InvalidInputError
-        If the input is not symmetric (see :func:`symmetric_matrix`).
+        If the input is not finite or not symmetric (see :func:`symmetric_matrix`).
     """
-    sigma = symmetric_matrix(sigma, "sigma")
-    p = sigma.shape[0]
-    diag = np.diag(sigma)
-    if np.count_nonzero(sigma) == np.count_nonzero(diag):
-        order = np.argsort(diag, kind="stable")
-        lam = diag[order]
-        vec = np.zeros((p, p))
-        vec[order, np.arange(p)] = 1.0
+    sigma = finite_array(sigma, "sigma")
+    diag = sigma if sigma.ndim == 1 else np.diag(symmetric_matrix(sigma, "sigma"))
+    if sigma.ndim == 1 or np.count_nonzero(sigma) == np.count_nonzero(diag):
+        basis = np.argsort(diag, kind="stable")
+        lam = diag[basis]
     else:
-        lam, vec = np.linalg.eigh(sigma)
+        lam, basis = np.linalg.eigh(sigma)
     lam_min = float(lam[0])
     if lam_min <= 0.0:
         raise NotPositiveDefiniteError(
             f"sigma is not positive definite (lambda_min={lam_min:.3e})", lam_min
         )
-    return SigmaDecomposition(eigenvalues=lam, eigenvectors=vec)
+    return SigmaDecomposition(eigenvalues=lam, _basis=basis)
 
 
 def sample_data_matrix(
@@ -141,8 +148,8 @@ def sample_data_matrix(
     nus = sample_nu(model.nu, rng, size)
     dec = decompose_sigma(model.sigma)
     z = rng.generator.standard_normal((size, model.p, n))
-    root = dec.eigenvectors * np.sqrt(dec.eigenvalues)
-    return (model.mu + nus @ model.b.T)[:, :, None] + root @ z, nus
+    shifted = (model.mu + nus @ model.b.T)[:, :, None]
+    return shifted + dec.unrotate(z, np.sqrt(dec.eigenvalues)), nus
 
 
 def sample_mean_and_cov(x: NDArray) -> SampleMoments:

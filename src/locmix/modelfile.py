@@ -12,8 +12,8 @@ Schema (all arrays are nested JSON lists of numbers)::
     }
 
 Matrix fields accept either a ``diag`` shorthand or a full ``dense``
-matrix.  Parsing failures raise :class:`InvalidInputError` with a
-diagnostic message.
+matrix; a ``diag`` Sigma stays a ``(p,)`` vector.  Parsing failures raise
+:class:`InvalidInputError` with a diagnostic message.
 """
 
 from __future__ import annotations
@@ -37,12 +37,16 @@ from .model import ModelSpec
 def _parse_matrix(node, name: str) -> NDArray:
     if not isinstance(node, dict) or ("diag" in node) == ("dense" in node):
         raise InvalidInputError(f"{name} must be an object with exactly one of 'diag'/'dense'")
-    if "diag" in node:
-        return np.diag(np.asarray(node["diag"], dtype=float))
-    dense = np.asarray(node["dense"], dtype=float)
-    if dense.ndim != 2:
-        raise InvalidInputError(f"{name}.dense must be a matrix")
-    return dense
+    key, ndim, kind = ("diag", 1, "vector") if "diag" in node else ("dense", 2, "matrix")
+    arr = np.asarray(node[key], dtype=float)
+    if arr.ndim != ndim:
+        raise InvalidInputError(f"{name}.{key} must be a {kind}")
+    return arr
+
+
+def _parse_square(node, name: str) -> NDArray:
+    mat = _parse_matrix(node, name)
+    return np.diag(mat) if mat.ndim == 1 else mat
 
 
 def parse_nu(node) -> NuDistribution:
@@ -51,11 +55,11 @@ def parse_nu(node) -> NuDistribution:
         raise InvalidInputError("nu must be an object with a 'kind' field")
     kind = node["kind"]
     if kind == "truncated_normal_abs":
-        return TruncatedNormalAbs(_parse_matrix(node["omega"], "nu.omega"))
+        return TruncatedNormalAbs(_parse_square(node["omega"], "nu.omega"))
     if kind == "gal":
         return GeneralizedAsymmetricLaplace(
             np.asarray(node["m"], dtype=float),
-            _parse_matrix(node["sigma"], "nu.sigma"),
+            _parse_square(node["sigma"], "nu.sigma"),
             float(node["s"]),
         )
     if kind == "degenerate":
@@ -111,7 +115,7 @@ def save_model(model: ModelSpec, path: str | Path) -> None:
     """Write a model specification as a JSON file."""
     doc = {
         "mu": model.mu.tolist(),
-        "sigma": {"dense": model.sigma.tolist()},
+        "sigma": {"diag" if model.sigma.ndim == 1 else "dense": model.sigma.tolist()},
         "b": model.b.tolist(),
         "nu": nu_to_json(model.nu),
     }

@@ -98,9 +98,8 @@ class QuadraticCache:
             raise InvalidInputError("l must have length p")
         dec = decompose_sigma(model.sigma)
         lam = dec.eigenvalues
-        u_t = dec.eigenvectors.T
-        l_eig = u_t @ l
-        m = np.column_stack([u_t @ model.mu, u_t @ model.b])
+        l_eig = dec.rotate(l)
+        m = np.column_stack([dec.rotate(model.mu), dec.rotate(model.b)])
         self.p = model.p
         self.nu = model.nu
         self.eigenvalues = lam

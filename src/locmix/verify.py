@@ -522,8 +522,9 @@ def log_density_mixture_quad(model: ModelSpec, z: NDArray) -> float:
         raise InvalidInputError("data must be (p, n)")
     n = z.shape[1]
     omega = float(model.nu.omega[0, 0])
-    sigma_inv = np.linalg.solve(model.sigma, np.eye(model.p))
-    _, log_det_sigma = np.linalg.slogdet(model.sigma)
+    sigma = model.sigma if model.sigma.ndim == 2 else np.diag(model.sigma)
+    sigma_inv = np.linalg.solve(sigma, np.eye(model.p))
+    _, log_det_sigma = np.linalg.slogdet(sigma)
     b = model.b[:, 0]
 
     def integrand(v: float) -> float:

@@ -306,7 +306,7 @@ def test_log_density_deterministic_with_stream():
 def _mpmath_reference(model, z):
     """Log density with its quadratic form, log|F|, nuhat and D at 50 digits.
 
-    Written for a diagonal Sigma and Omega = I as the plain Woodbury
+    Written for a ``(p,)`` diagonal Sigma and Omega = I as the plain Woodbury
     formula ``quad = sum_j m_j'Sigma^{-1}m_j - g'Dg``, whose cancellation
     50 digits absorb.  The orthant term comes from ``mvn_orthant_cdf``
     on the rounded ``nuhat`` and ``D``.
@@ -316,7 +316,7 @@ def _mpmath_reference(model, z):
     p, n = z.shape
     q = model.q
     with mp.workdps(50):
-        s = [mp.mpf(float(v)) for v in np.diag(model.sigma)]
+        s = [mp.mpf(float(v)) for v in model.sigma]
         m = [[mp.mpf(float(z[i, j])) - mp.mpf(float(model.mu[i])) for j in range(n)]
              for i in range(p)]
         b = mp.matrix(model.b.tolist())
@@ -343,7 +343,7 @@ def test_log_density_small_sigma_entry_against_mpmath(sigma_min):
     pytest.importorskip("mpmath")
     paper = generate_paper_model(30, TruncatedNormalAbs(np.eye(5)), 0)
     sigma = paper.sigma.copy()
-    sigma[0, 0] = sigma_min
+    sigma[0] = sigma_min
     model = ModelSpec(mu=paper.mu, sigma=sigma, b=paper.b, nu=paper.nu)
     z = sample_data_matrix(model, 60, RngStream(1, 0), 1)[0][0]
     value = log_density(build_workspace(model, 60), z)

@@ -4,13 +4,18 @@ import pytest
 from locmix import (
     Degenerate,
     ModelSpec,
+    QuadraticCache,
     RngStream,
     TruncatedNormalAbs,
+    build_workspace,
     decompose_sigma,
     generate_paper_model,
+    log_density,
+    sample_cov_product,
     sample_data_matrix,
     sample_mean_and_cov,
     sample_nu,
+    sample_precision_product,
 )
 from locmix.distributions import nu_mean
 from locmix.harness import default_nu
@@ -19,22 +24,22 @@ from locmix.verify import dense_test_model
 
 
 def _root(sigma):
-    """The factor ``U diag(sqrt(lambda))`` that the matrix oracle draws with."""
+    """The dense factor ``U diag(sqrt(lambda))`` that the matrix oracle draws with."""
     dec = decompose_sigma(sigma)
-    return dec.eigenvectors * np.sqrt(dec.eigenvalues)
+    return dec.unrotate(np.eye(dec.eigenvalues.size), np.sqrt(dec.eigenvalues))
 
 
 def test_decompose_identity():
     dec = decompose_sigma(np.eye(4))
     np.testing.assert_array_equal(dec.eigenvalues, np.ones(4))
-    np.testing.assert_array_equal(dec.eigenvectors, np.eye(4))
+    np.testing.assert_array_equal(dec.rotate(np.eye(4)), np.eye(4))
 
 
 def test_decompose_diagonal_orders_ascending():
     dec = decompose_sigma(np.diag([4.0, 1.0]))
     np.testing.assert_array_equal(dec.eigenvalues, [1.0, 4.0])
     # Eigenvectors are the coordinate axes up to permutation.
-    assert set(map(tuple, np.abs(dec.eigenvectors.T).tolist())) == {
+    assert set(map(tuple, np.abs(dec.rotate(np.eye(2))).tolist())) == {
         (1.0, 0.0),
         (0.0, 1.0),
     }
@@ -45,7 +50,9 @@ def test_decompose_diagonal_with_ties_matches_permuted_identity():
     dec = decompose_sigma(np.diag(diag))
     order = np.argsort(diag, kind="stable")
     np.testing.assert_array_equal(dec.eigenvalues, diag[order])
-    np.testing.assert_array_equal(dec.eigenvectors, np.eye(diag.size)[:, order])
+    u = np.eye(diag.size)[:, order]
+    np.testing.assert_array_equal(dec.rotate(np.eye(diag.size)), u.T)
+    np.testing.assert_array_equal(dec.unrotate(np.eye(diag.size), np.ones(diag.size)), u)
 
 
 def test_decompose_reconstruction_random_spd():
@@ -53,7 +60,7 @@ def test_decompose_reconstruction_random_spd():
     a = gen.standard_normal((6, 6))
     sigma = a @ a.T + np.eye(6)
     dec = decompose_sigma(sigma)
-    recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
+    recon = dec.unrotate(dec.rotate(np.eye(6)), dec.eigenvalues)
     rel = np.linalg.norm(recon - sigma) / np.linalg.norm(sigma)
     assert rel <= 1e-10
 
@@ -70,6 +77,14 @@ def test_decompose_rejects_zero_matrix(p):
     with pytest.raises(NotPositiveDefiniteError, match="not positive definite") as err:
         decompose_sigma(np.zeros((p, p)))
     assert err.value.lambda_min == 0.0
+
+
+@pytest.mark.parametrize("shape", ["matrix", "vector"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decompose_rejects_non_finite(bad, shape):
+    diag = np.array([bad, 1.0])
+    with pytest.raises(InvalidInputError, match="sigma must be finite"):
+        decompose_sigma(np.diag(diag) if shape == "matrix" else diag)
 
 
 def test_decompose_rejects_asymmetric():
@@ -148,6 +163,41 @@ def test_sample_data_matrix_single_draw_keeps_its_bytes(model, n, stream):
     shifted = (model.mu + model.b @ expected_nu)[:, None]
     np.testing.assert_array_equal(nus[0], expected_nu)
     np.testing.assert_array_equal(x[0], shifted + _root(model.sigma) @ z)
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [
+        np.array([0.7]),
+        np.array([3.0, 1.0, 3.0, 0.5, 1.0, 2.0, 0.5]),
+        RngStream(21, 0).generator.uniform(0.05, 1.0, 50),
+    ],
+    ids=["p1", "p7-ties", "p50"],
+)
+def test_diagonal_sigma_as_vector_matches_matrix(diag):
+    # A diagonal Sigma gives the same bytes as its (p,) vector or as a matrix.
+    p, q, n = diag.size, 3, 60
+    gen = RngStream(22, p).generator
+    mu, loading, l = gen.uniform(-1, 1, p), gen.uniform(0, 1, (p, q)), gen.uniform(-1, 1, p)
+    vec, mat = (
+        ModelSpec(mu=mu, sigma=sigma, b=loading, nu=TruncatedNormalAbs(np.eye(q) + 0.5))
+        for sigma in (diag, np.diag(diag))
+    )
+    cache_vec, cache_mat = QuadraticCache(vec, l), QuadraticCache(mat, l)
+    nus = sample_nu(vec.nu, RngStream(23, 0), 100)
+    for form in ("cov_forms", "precision_forms"):
+        for got, want in zip(getattr(cache_vec, form)(nus), getattr(cache_mat, form)(nus)):
+            np.testing.assert_array_equal(got, want)
+    for sampler in (sample_cov_product, sample_precision_product):
+        np.testing.assert_array_equal(
+            sampler(cache_vec, n, RngStream(24, 0), 500)[0],
+            sampler(cache_mat, n, RngStream(24, 0), 500)[0],
+        )
+    x = sample_data_matrix(vec, 5, RngStream(25, 0), 3)[0]
+    np.testing.assert_array_equal(x, sample_data_matrix(mat, 5, RngStream(25, 0), 3)[0])
+    assert log_density(build_workspace(vec, 5), x[0]) == log_density(
+        build_workspace(mat, 5), x[0]
+    )
 
 
 def test_sample_data_matrix_block_draw_order():

@@ -293,3 +293,16 @@ def test_cov_product_memory_is_one_tile():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_paper_model_cache_memory_is_linear_in_p():
+    # The paper model holds Sigma as its (p,) diagonal, so no p x p array
+    # (200 MB at p = 5000) is built on the way to the cache.
+    p = 5000
+    tracemalloc.start()
+    try:
+        QuadraticCache(generate_paper_model(p, default_nu("tn", 10), 0), np.ones(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
