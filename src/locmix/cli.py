@@ -376,13 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--nu", choices=["tn", "gal"], default="tn", help="mixing family (default tn)"
     )
     sim.add_argument("--seed", type=int, required=True, help="master seed for the replicates")
-    sim.set_defaults(func=_cmd_simulate)
 
     rep = sub.add_parser(
         "replay", parents=[output], help="re-run the experiment a manifest records"
     )
     rep.add_argument("manifest", help="manifest.json of an earlier run")
-    rep.set_defaults(func=_cmd_replay)
 
     fig = sub.add_parser(
         "figure", parents=[draws], help="reproduce one figure panel of the study"
@@ -390,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--figure", type=int, required=True, help="figure number 1..8")
     fig.add_argument("--panel", choices=["a", "b", "c", "d"], required=True)
     fig.add_argument("--seed", type=int, default=1, help="master seed")
-    fig.set_defaults(func=_cmd_figure)
 
     ver = sub.add_parser("verify", help="run a statistical verification suite")
     ver.add_argument(
@@ -399,21 +396,26 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     ver.add_argument("--seed", type=int, default=0)
-    ver.set_defaults(func=_cmd_verify)
 
     den = sub.add_parser("density", help="log density of a data matrix under a model")
     den.add_argument("--model", required=True, help="model JSON file")
     den.add_argument("--data", required=True, help="CSV file with one row per variable")
-    den.set_defaults(func=_cmd_density)
 
     return parser
 
 
+# The parser of this process, built by the first call of :func:`main`.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up per call, so a replaced handler is the one that runs.
+        return globals()[f"_cmd_{args.command}"](args)
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

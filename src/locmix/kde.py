@@ -7,8 +7,8 @@ once as a row of coefficients, so window sums reduce to prefix sums of
 sample powers contracted with one Taylor matrix per kernel.  After one
 sort, each bandwidth costs O(N): the window bounds come from a stable
 merge of the shifted sample with the sample (no binary search), and the
-prefix sums and chunk products go into buffers allocated once per
-:func:`lscv_scores` call.
+merge scratch, window bounds, prefix sums and chunk products go into
+buffers allocated once per scoring thread of an :func:`lscv_scores` call.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ _MIN_BLOCK = 2048
 # working arrays stay in cache.
 _CHUNK = 8192
 
-# Most threads that score candidates at once.  Each holds about 12 MB of
-# buffers and merge temporaries at N = 100 000, while the numpy call
+# Most threads that score candidates at once.  Each holds about 14 MB of
+# buffers and sort temporaries at N = 100 000, while the numpy call
 # overhead of the chunked contractions holds the GIL: on 2 cores, 2 threads
 # scored 1.44 times as fast as 1, which puts the serial share near 40%.
 # By Amdahl's law 4 threads then reach 1.8 times and 8 threads 2.1 times,
@@ -78,23 +78,13 @@ def epanechnikov_kde(samples: NDArray, bandwidth: float, grid: NDArray) -> NDArr
     return 0.75 / (n * h) * np.maximum(vals, 0.0)
 
 
-def _merge_bounds(s: NDArray, keys: NDArray) -> NDArray:
-    """``np.searchsorted(s, keys, side="left")`` for sorted ``keys``, by merge.
-
-    A stable sort of the two sorted runs merges them in linear time.  Keys
-    go first, so each key lands ahead of the samples equal to it, and the
-    samples ahead of key i number its merged position minus i.
-    """
-    m = keys.size
-    order = np.concatenate((keys, s)).argsort(kind="stable")
-    return np.flatnonzero(order < m) - np.arange(m)
-
-
 class _Workspace:
     """Buffers that one thread reuses for every candidate it scores.
 
     ``prefix`` row m holds the prefix sums of ``t^m`` over a block, with
-    exact counts in row 0 and zeros in column 0; the rest hold one chunk.
+    exact counts in row 0 and zeros in column 0; ``powers`` to ``index``
+    hold one chunk; ``keys`` to ``lo_c`` are the scratch of
+    :func:`_merge_bounds` and the two windows' starts.
     """
 
     def __init__(self, n: int):
@@ -107,6 +97,27 @@ class _Workspace:
         self.w = np.empty((6, chunk))
         self.q = np.empty((6, chunk))
         self.index = np.empty(chunk, dtype=np.intp)
+        self.keys = np.empty(n)
+        self.merged = np.empty(2 * n)
+        self.is_key = np.empty(2 * n, dtype=bool)
+        self.positions = np.arange(n)
+        self.lo_k = np.empty(n, dtype=np.intp)
+        self.lo_c = np.empty(n, dtype=np.intp)
+
+
+def _merge_bounds(s: NDArray, keys: NDArray, ws: _Workspace, out: NDArray) -> NDArray:
+    """``np.searchsorted(s, keys, side="left")`` into ``out``, by merge.
+
+    ``keys`` are sorted and as many as the samples.  A stable sort of the
+    two sorted runs merges them in linear time.  Keys go first, so each
+    key lands ahead of the samples equal to it, and the samples ahead of
+    key i number its merged position minus i.  Only the sort order and
+    the merged positions of the keys are new arrays.
+    """
+    n = s.size
+    np.concatenate((keys, s), out=ws.merged)
+    np.less(ws.merged.argsort(kind="stable"), n, out=ws.is_key)
+    return np.subtract(np.flatnonzero(ws.is_key), ws.positions, out=out)
 
 
 def _taylor(coef: tuple[float, ...]) -> NDArray:
@@ -140,13 +151,13 @@ def _pairwise_kernel_sums(s: NDArray, h: float, ws: _Workspace) -> tuple[float, 
     quarter; it is evaluated in cache-sized chunks of :data:`_CHUNK`.
     """
     n = s.size
-    lo_k = _merge_bounds(s, s - h)
-    lo_c = _merge_bounds(s, s - 2.0 * h)
+    lo_k = _merge_bounds(s, np.subtract(s, h, out=ws.keys), ws, ws.lo_k)
+    lo_c = _merge_bounds(s, np.subtract(s, 2.0 * h, out=ws.keys), ws, ws.lo_c)
     kernels = (
         (lo_k, _taylor((1.0, 0.0, -1.0 / h**2))),
         (lo_c, _taylor((32.0, 0.0, -40.0 / h**2, 20.0 / h**3, 0.0, -1.0 / h**5))),
     )
-    block = max(_MIN_BLOCK, 4 * int(np.max(np.arange(n) - lo_c)))
+    block = max(_MIN_BLOCK, 4 * int(np.max(ws.positions - lo_c)))
     sums = [0.0, 0.0]
     for b0 in range(0, n, block):
         b1 = min(b0 + block, n)

@@ -776,3 +776,49 @@ def test_threads_below_one_exit_2(tmp_path, threads):
     figure = ("figure", "--figure", "1", "--panel", "a", "--nreps", "200")
     assert run_cli(*figure, "--out", str(out), "--threads", threads) == 2
     assert not (out / "samples.csv").exists()
+
+
+def test_many_calls_in_one_process(tmp_path, monkeypatch, capsys):
+    # Each call of a sequence in one process gives the exit code, output
+    # and files it gives as the first call of a process, and the parser is
+    # built once for the whole sequence.
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    density = write_density_inputs(tmp_path, json.dumps(TINY_MODEL), "0.5,1.25\n")
+    no_data = density[:3]  # a usage error
+
+    def verify_replaced(args):
+        print(f"replaced verify of {args.suite}")
+        return 1
+
+    def outcome(argv):
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            # Replaced after the parser is built, and still the one that runs.
+            if argv[0] == "verify":
+                patch.setattr(cli, "_cmd_verify", verify_replaced)
+            try:
+                code = run_cli(*argv)
+            except SystemExit as exc:
+                code = exc.code
+        files = []
+        if argv[0] == "simulate":
+            out = Path(argv[argv.index("--out") + 1])
+            files = [(out / "samples.csv").read_text(), (out / "kde.csv").read_text()]
+        return code, capsys.readouterr(), files
+
+    def calls(out):
+        return [simulate_args(out), density, no_data, density, ("verify", "--suite", "oracle")]
+
+    first = []
+    for argv in calls(tmp_path / "first"):
+        monkeypatch.setattr(cli, "_parser", None, raising=False)
+        first.append(outcome(argv))
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    builds.clear()
+    in_turn = [outcome(argv) for argv in calls(tmp_path / "turn")]
+    assert [code for code, _, _ in first] == [0, 0, 2, 0, 1]
+    assert first[4][1].out == "replaced verify of oracle\n"
+    assert in_turn == first
+    assert len(builds) == 1
