@@ -196,7 +196,7 @@ def test_merge_bounds_is_searchsorted_left(s, keys):
     expected = np.searchsorted(s, keys, side="left")
     ws = kde._Workspace(s.size)
     out = np.empty(s.size, dtype=np.intp)
-    for merge_keys in (s[::-1].copy(), keys):
+    for merge_keys in (s + 1.0, keys):
         assert _merge_bounds(s, merge_keys, ws, out) is out
     np.testing.assert_array_equal(out, expected)
 
@@ -218,8 +218,8 @@ def test_merge_bounds_on_shifted_ties():
 
 def test_candidate_scratch_lives_in_the_workspace():
     # With a prepared workspace, one candidate allocates only a merge's sort
-    # order and key positions: 1.6 MB at N = 100 000, where new merge
-    # scratch for both windows peaked at 5.6 MB.
+    # order and key positions, 1.6 MB at N = 100 000; fresh merge scratch
+    # for both windows would peak at 5.6 MB.
     s = np.sort(np.random.default_rng(3).standard_normal(100_000))
     ws = kde._Workspace(s.size)
     tracemalloc.start()
