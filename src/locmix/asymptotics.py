@@ -10,9 +10,9 @@ standard normal once divided by the shift-conditional standard deviations
   (0 <= c < 1),
 
 with centres ``l'Sigma mu_nu`` and ``(1-c)^{-1} l'Sigma^{-1} mu_nu``.
-The precision variance has an equivalent second spelling,
-``(1-c)^{-3} (2 a^2 + b (1 + delta^2))`` with ``delta^2 = m - a^2/b``;
-both are evaluated and must agree.
+The precision variance is evaluated in its equivalent spelling
+``(1-c)^{-3} (2 a^2 + b (1 + delta^2))`` with ``a = l'Sigma^{-1} mu_nu``,
+``b = l'Sigma^{-1} l`` and ``delta^2 = mu_nu'Sigma^{-1} mu_nu - a^2/b``.
 
 Replacing the random shift by its mean gives the unconditional limits
 used when the shift dimension grows with n: the same formulas, evaluated
@@ -39,9 +39,7 @@ def limit_moments(
     returns ``(N,)`` arrays.  The unconditional limits are this call at
     the shift mean, ``nu_mean(cache.nu)``.  Each form costs O(q^2) per
     shift (see :class:`QuadraticCache`).  The precision variance is
-    evaluated in its delta^2 spelling and, in debug builds, checked
-    against the direct spelling, whose ``m`` comes from a factor of its
-    own; the two agree to rounding.
+    evaluated in its delta^2 spelling.
     """
     nu = np.asarray(nu, dtype=float)
     if kind is ProductKind.COV_TIMES_MEAN:
@@ -52,16 +50,9 @@ def limit_moments(
         return center, (quad + trace_term) * cache.l_sigma_l + center**2 + cache.l_sigma3_l
     if not 0.0 <= c < 1.0:
         raise RegimeError("c must lie in [0, 1) for the precision product")
-    a, m, delta_sq = cache.precision_forms(nu)
-    b = cache.l_sigmainv_l
+    a, delta_sq = cache.precision_forms(nu)
     factor = 1.0 / (1.0 - c) ** 3
-    variance = factor * (2.0 * a * a + b * (1.0 + delta_sq))
-    if __debug__:
-        direct = factor * (a * a + b * (1.0 + m))
-        assert np.all(np.abs(variance - direct) <= 1e-9 * np.maximum(np.abs(direct), 1.0)), (
-            "precision variance spellings disagree"
-        )
-    return a / (1.0 - c), variance
+    return a / (1.0 - c), factor * (2.0 * a * a + cache.l_sigmainv_l * (1.0 + delta_sq))
 
 
 def standardize(

@@ -57,9 +57,12 @@ logger = logging.getLogger(__name__)
 # Values per formatted chunk of samples.csv.
 _CSV_CHUNK = 1 << 16
 
+# Format of every CSV number: 17 significant digits round-trip a 64-bit float.
+_FLOAT = "%.17g"
+
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return _FLOAT % x
 
 
 def _config_to_json(cfg: ExperimentConfig, normal_column: bool) -> dict:
@@ -176,7 +179,7 @@ def _write_samples(path: Path, standardized: np.ndarray) -> None:
         f.write("standardized\n")
         for start in range(0, standardized.size, _CSV_CHUNK):
             chunk = standardized[start : start + _CSV_CHUNK].tolist()
-            f.write("%.17g\n" * len(chunk) % tuple(chunk))
+            f.write((_FLOAT + "\n") * len(chunk) % tuple(chunk))
 
 
 def _write_outputs(
@@ -316,15 +319,15 @@ def _cmd_density(args: argparse.Namespace) -> int:
     from .density import build_workspace, log_density
 
     model = load_model(args.model)
-    try:
-        with warnings.catch_warnings():
-            # An empty file is reported below as one error line.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(args.data, delimiter=",", ndmin=2)
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, OSError) and not Path(args.data).exists():
-            raise
-        raise InvalidInputError(f"could not parse data CSV: {exc}") from exc
+    # Opened here, not by name in np.loadtxt, which would read a compressed
+    # sibling such as data.csv.gz in place of a missing data.csv.
+    with open(args.data) as f, warnings.catch_warnings():
+        # An empty file is reported below as one error line.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(f, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InvalidInputError(f"could not parse data CSV: {exc}") from exc
     if data.size == 0:
         raise InvalidInputError(f"data CSV {args.data} holds no numbers")
     data = finite_array(data, "data CSV")

@@ -34,7 +34,7 @@ _MIN_BLOCK = 2048
 # working arrays stay in cache.
 _CHUNK = 8192
 
-# Most threads that score candidates at once.  Each holds about 14 MB of
+# Most threads that score candidates at once.  Each holds about 13.5 MB of
 # buffers and sort temporaries at N = 100 000, while the numpy call
 # overhead of the chunked contractions holds the GIL: on 2 cores, 2 threads
 # scored 1.44 times as fast as 1, which puts the serial share near 40%.
@@ -83,7 +83,7 @@ class _Workspace:
 
     ``prefix`` row m holds the prefix sums of ``t^m`` over a block, with
     exact counts in row 0 and zeros in column 0; ``powers`` to ``index``
-    hold one chunk; ``keys`` to ``lo_c`` are the scratch of
+    hold one chunk; ``merged`` to ``lo_c`` are the scratch of
     :func:`_merge_bounds` and the two windows' starts.
     """
 
@@ -97,7 +97,6 @@ class _Workspace:
         self.w = np.empty((6, chunk))
         self.q = np.empty((6, chunk))
         self.index = np.empty(chunk, dtype=np.intp)
-        self.keys = np.empty(n)
         self.merged = np.empty(2 * n)
         self.is_key = np.empty(2 * n, dtype=bool)
         self.positions = np.arange(n)
@@ -105,17 +104,18 @@ class _Workspace:
         self.lo_c = np.empty(n, dtype=np.intp)
 
 
-def _merge_bounds(s: NDArray, keys: NDArray, ws: _Workspace, out: NDArray) -> NDArray:
+def _merge_bounds(s: NDArray, ws: _Workspace, out: NDArray) -> NDArray:
     """``np.searchsorted(s, keys, side="left")`` into ``out``, by merge.
 
-    ``keys`` are sorted and as many as the samples.  A stable sort of the
-    two sorted runs merges them in linear time.  Keys go first, so each
+    The caller writes the ``keys``, sorted and as many as the samples, into
+    ``ws.merged[:n]``; the samples are copied after them.  A stable sort of
+    the two sorted runs merges them in linear time.  Keys go first, so each
     key lands ahead of the samples equal to it, and the samples ahead of
     key i number its merged position minus i.  Only the sort order and
     the merged positions of the keys are new arrays.
     """
     n = s.size
-    np.concatenate((keys, s), out=ws.merged)
+    ws.merged[n:] = s
     np.less(ws.merged.argsort(kind="stable"), n, out=ws.is_key)
     return np.subtract(np.flatnonzero(ws.is_key), ws.positions, out=out)
 
@@ -151,8 +151,10 @@ def _pairwise_kernel_sums(s: NDArray, h: float, ws: _Workspace) -> tuple[float, 
     quarter; it is evaluated in cache-sized chunks of :data:`_CHUNK`.
     """
     n = s.size
-    lo_k = _merge_bounds(s, np.subtract(s, h, out=ws.keys), ws, ws.lo_k)
-    lo_c = _merge_bounds(s, np.subtract(s, 2.0 * h, out=ws.keys), ws, ws.lo_c)
+    np.subtract(s, h, out=ws.merged[:n])
+    lo_k = _merge_bounds(s, ws, ws.lo_k)
+    np.subtract(s, 2.0 * h, out=ws.merged[:n])
+    lo_c = _merge_bounds(s, ws, ws.lo_c)
     kernels = (
         (lo_k, _taylor((1.0, 0.0, -1.0 / h**2))),
         (lo_c, _taylor((32.0, 0.0, -40.0 / h**2, 20.0 / h**3, 0.0, -1.0 / h**5))),

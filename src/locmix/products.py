@@ -113,14 +113,13 @@ class QuadraticCache:
         # l'Sigma mu_nu = x'(M'Lambda l) and l'Sigma^{-1} mu_nu = x'(M'Lambda^{-1} l).
         self._l_sigma_m = self.lam_l_m[:, 0] @ m
         self._l_sigmainv_m = (l_eig / lam) @ m
-        # mu_nu'Sigma mu_nu and mu_nu'Sigma^{-1} mu_nu.
+        # mu_nu'Sigma mu_nu.
         self._sigma_form = _ShiftForm(np.sqrt(lam)[:, None] * m)
-        inv_root_m = m / np.sqrt(lam)[:, None]
-        self._sigmainv_form = _ShiftForm(inv_root_m)
         # delta^2: mu_nu'Sigma^{-1} mu_nu after projecting Lambda^{-1/2} mu_nu
         # off v = Lambda^{-1/2} l (undefined for l = 0).
         self._delta_sq_form = None
         if not self.l_is_zero:
+            inv_root_m = m / np.sqrt(lam)[:, None]
             v = l_eig / np.sqrt(lam)
             self._delta_sq_form = _ShiftForm(
                 inv_root_m - np.outer(v, (v @ inv_root_m) / self.l_sigmainv_l)
@@ -133,8 +132,8 @@ class QuadraticCache:
             self._sigma_form(nu),
         )
 
-    def precision_forms(self, nu: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-        """(l'Sigma^{-1} mu_nu, mu_nu'Sigma^{-1} mu_nu, delta^2) for shifts as above.
+    def precision_forms(self, nu: NDArray) -> tuple[NDArray, NDArray]:
+        """(l'Sigma^{-1} mu_nu, delta^2) for a shift ``(q,)`` or shifts ``(N, q)``.
 
         ``delta^2 = mu_nu'Sigma^{-1}mu_nu - (l'Sigma^{-1}mu_nu)^2 /
         l'Sigma^{-1}l`` is the squared residual of the precision-metric
@@ -147,7 +146,6 @@ class QuadraticCache:
             raise InvalidInputError("l must be nonzero for the precision product")
         return (
             nu @ self._l_sigmainv_m[1:] + self._l_sigmainv_m[0],
-            self._sigmainv_form(nu),
             self._delta_sq_form(nu),
         )
 
@@ -223,7 +221,7 @@ def sample_precision_product(
     if p >= n - 1:
         raise RegimeError(f"precision product needs p < n - 1 (got p={p}, n={n})")
     nus = sample_nu(cache.nu, rng, size)
-    a, _, delta_sq = cache.precision_forms(nus)
+    a, delta_sq = cache.precision_forms(nus)
     xi_tilde = sample_chi_squared(n - p, rng, size)
     z0 = rng.generator.standard_normal(size)
     noise_scale = np.sqrt(cache.l_sigmainv_l)

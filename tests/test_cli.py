@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import subprocess
@@ -532,6 +533,23 @@ def test_density_empty_csv_one_error_line(tmp_path, data_text):
     done = _fresh_interpreter(code, check=False)
     assert done.returncode == 2
     assert done.stderr.splitlines() == [f"error: data CSV {args[-1]} holds no numbers"]
+
+
+@pytest.mark.parametrize("replace_data", ["missing-beside-gz", "directory"])
+def test_density_unreadable_data_exit_4(tmp_path, capsys, replace_data):
+    # --data names a file that cannot be opened.  A compressed sibling such
+    # as data.csv.gz is not read in its place.
+    args = write_density_inputs(tmp_path, json.dumps(TINY_MODEL), "0.5,1.25\n")
+    data = tmp_path / "data.csv"
+    with gzip.open(tmp_path / "data.csv.gz", "wt") as f:
+        f.write(data.read_text())
+    data.unlink()
+    if replace_data == "directory":
+        data.mkdir()
+    assert run_cli(*args) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("I/O error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_density_accuracy_not_met_exit_5(tmp_path, monkeypatch):

@@ -197,21 +197,23 @@ def test_merge_bounds_is_searchsorted_left(s, keys):
     ws = kde._Workspace(s.size)
     out = np.empty(s.size, dtype=np.intp)
     for merge_keys in (s + 1.0, keys):
-        assert _merge_bounds(s, merge_keys, ws, out) is out
+        ws.merged[: s.size] = merge_keys
+        assert _merge_bounds(s, ws, out) is out
     np.testing.assert_array_equal(out, expected)
 
 
 def test_merge_bounds_on_shifted_ties():
     # The keys LSCV merges: the tied sample shifted by a bandwidth, with
-    # signed zeros among the ties, into the buffers of one workspace.
+    # signed zeros among the ties, written where LSCV writes them, into the
+    # buffers of one workspace.
     s = np.round(np.random.default_rng(1).standard_normal(3_000), 2)
     s[s == 0.0] = np.tile([-0.0, 0.0], s.size)[: np.count_nonzero(s == 0.0)]
     s = np.sort(s)
     ws = kde._Workspace(s.size)
     for shift in (0.0, 0.01, 0.3, 0.25, 7.0, -0.0, 10.0, -10.0):
-        keys = np.subtract(s, shift, out=ws.keys)
+        keys = np.subtract(s, shift, out=ws.merged[: s.size])
         expected = np.searchsorted(s, keys, side="left")
-        np.testing.assert_array_equal(_merge_bounds(s, keys, ws, ws.lo_k), expected)
+        np.testing.assert_array_equal(_merge_bounds(s, ws, ws.lo_k), expected)
         if abs(shift) == 10.0:  # every key below, then above, every sample
             assert set(expected) == {0 if shift > 0 else s.size}
 

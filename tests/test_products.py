@@ -11,6 +11,7 @@ from locmix import (
     ProductKind,
     QuadraticCache,
     RngStream,
+    limit_moments,
     sample_cov_product,
     sample_nu,
     sample_precision_product,
@@ -31,7 +32,7 @@ def test_delta_sq_examples():
         nu=Degenerate(np.zeros(1)),
     )
     cache = QuadraticCache(model, np.array([1.0, 0.0, 0.0]))
-    _, _, delta_sq = cache.precision_forms(np.zeros(1))
+    _, delta_sq = cache.precision_forms(np.zeros(1))
     assert delta_sq == pytest.approx(13.0, abs=1e-12)
 
     # Shift parallel to l: the projection residual vanishes.
@@ -42,7 +43,7 @@ def test_delta_sq_examples():
         nu=Degenerate(np.zeros(1)),
     )
     cache = QuadraticCache(parallel, np.array([1.0, 0.0, 0.0]))
-    _, _, delta_sq = cache.precision_forms(np.zeros(1))
+    _, delta_sq = cache.precision_forms(np.zeros(1))
     assert delta_sq == pytest.approx(0.0, abs=1e-12)
 
 
@@ -50,7 +51,7 @@ def test_delta_sq_matches_dense_projection():
     model, l = dense_test_model(5, 2, seed=21)
     nu_val = sample_nu(model.nu, RngStream(5, 0), 1)[0]
     cache = QuadraticCache(model, l)
-    _, _, delta_sq = cache.precision_forms(nu_val)
+    _, delta_sq = cache.precision_forms(nu_val)
     sigma_inv = np.linalg.inv(model.sigma)
     r_l = sigma_inv - np.outer(sigma_inv @ l, sigma_inv @ l) / (l @ sigma_inv @ l)
     mv = model.mu + model.b @ nu_val
@@ -59,7 +60,11 @@ def test_delta_sq_matches_dense_projection():
 
 
 def _direct_shift_forms(model, l, nu):
-    """The five shift forms as p-sums of mu_nu in the original basis."""
+    """(l'Sigma mu_nu, mu_nu'Sigma mu_nu, a, b, m, delta^2) as p-sums of mu_nu.
+
+    ``a = l'Sigma^{-1} mu_nu``, ``b = l'Sigma^{-1} l`` and ``m =
+    mu_nu'Sigma^{-1} mu_nu``, in the original basis.
+    """
     mu_nu = model.mu + model.b @ nu
     sigma_inv_l = np.linalg.solve(model.sigma, l)
     sigma_inv_mu = np.linalg.solve(model.sigma, mu_nu)
@@ -70,6 +75,7 @@ def _direct_shift_forms(model, l, nu):
         l @ model.sigma @ mu_nu,
         mu_nu @ model.sigma @ mu_nu,
         a,
+        b,
         mu_nu @ sigma_inv_mu,
         resid @ np.linalg.solve(model.sigma, resid),
     )
@@ -85,11 +91,23 @@ def test_shift_forms_match_direct_sums(p, q):
     def forms(nu):
         return (*cache.cov_forms(nu), *cache.precision_forms(nu))
 
+    ratios = (0.0, 0.3, 0.9)
+
+    def precision_variances(nu):
+        return [limit_moments(cache, c, nu, PRECISION)[1] for c in ratios]
+
     batch = forms(nus)
+    batch_variances = precision_variances(nus)
     for row, nu_val in enumerate(nus):
-        expected = _direct_shift_forms(model, l, nu_val)
-        for one, many, want in zip(forms(nu_val), batch, expected):
+        cov_l, cov_quad, a, b, m, delta_sq = _direct_shift_forms(model, l, nu_val)
+        for one, many, want in zip(forms(nu_val), batch, (cov_l, cov_quad, a, delta_sq)):
             tol = 1e-12 * max(1.0, abs(want))
+            assert np.ndim(one) == 0 and abs(one - want) <= tol
+            assert abs(many[row] - want) <= tol
+        # limit_moments spells sigma2_tilde with delta^2; the direct spelling uses m.
+        for c, one, many in zip(ratios, precision_variances(nu_val), batch_variances):
+            want = (a * a + b * (1.0 + m)) / (1.0 - c) ** 3
+            tol = 1e-9 * max(1.0, abs(want))
             assert np.ndim(one) == 0 and abs(one - want) <= tol
             assert abs(many[row] - want) <= tol
 
@@ -105,7 +123,7 @@ def test_delta_sq_near_parallel_shift(p, q):
     e[-1] = 1.0
     mu = 2.0 * l + 1e-6 * e
     parallel = ModelSpec(mu=mu, sigma=model.sigma, b=model.b, nu=model.nu)
-    _, _, delta_sq = QuadraticCache(parallel, l).precision_forms(np.zeros(q))
+    _, delta_sq = QuadraticCache(parallel, l).precision_forms(np.zeros(q))
     dev = mu - 2.0 * l
     resid = dev - (l @ np.linalg.solve(model.sigma, dev)) / (
         l @ np.linalg.solve(model.sigma, l)
