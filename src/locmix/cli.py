@@ -37,7 +37,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .distributions import finite_array
 from .errors import AccuracyNotMetError, InvalidInputError, RegimeError
 from .figures import figure_config
 from .harness import (
@@ -330,7 +329,6 @@ def _cmd_density(args: argparse.Namespace) -> int:
             raise InvalidInputError(f"could not parse data CSV: {exc}") from exc
     if data.size == 0:
         raise InvalidInputError(f"data CSV {args.data} holds no numbers")
-    data = finite_array(data, "data CSV")
     workspace = build_workspace(model, data.shape[1])
     value = log_density(workspace, data)
     print(json.dumps({"log_density": value}))

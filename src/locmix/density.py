@@ -327,12 +327,14 @@ def log_density(workspace: DensityWorkspace, z: NDArray) -> float:
 
     Raises
     ------
+    InvalidInputError
+        If ``z`` is not ``(p, n)`` or has a NaN or infinite entry.
     AccuracyNotMetError
         If the orthant probability misses its accuracy target or
         underflows to 0 (data far in the tail).
     """
     ws = workspace
-    z = np.asarray(z, dtype=float)
+    z = finite_array(z, "data")
     p = ws.mu.shape[0]
     if z.shape != (p, ws.n):
         raise InvalidInputError(f"data must be (p, n) = ({p}, {ws.n}); got {z.shape}")

@@ -7,12 +7,12 @@ representation, and is centred/scaled with that replicate's shift.
 
 Replicates are drawn in blocks of :data:`BLOCK_SIZE`: block ``b`` holds
 replicates ``[b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)`` (the last block may
-be shorter) and is drawn by one sampler call with ``size`` set to its
-length, from stream ``b`` of the experiment's master seed.  Threads take
-contiguous ranges of whole blocks and share one model and one
-:class:`~locmix.products.QuadraticCache`, so results are bit-identical
-for any degree of parallelism.  Changing ``BLOCK_SIZE`` changes every
-draw; the manifest records it.
+be shorter) and is drawn by one sampler call from stream ``b`` of the
+experiment's master seed, in :func:`draw_blocks`, the one block loop of
+the package.  Threads take contiguous ranges of whole blocks and share one
+model and one :class:`~locmix.products.QuadraticCache`, so results are
+bit-identical for any degree of parallelism.  Changing ``BLOCK_SIZE``
+changes every draw; the manifest records it.
 """
 
 from __future__ import annotations
@@ -115,30 +115,34 @@ def generate_paper_model(p: int, nu: NuDistribution, model_seed: int) -> ModelSp
     return ModelSpec(mu=mu, sigma=diag, b=b, nu=nu)
 
 
-def _draw_range(
-    cfg: ExperimentConfig, cache: QuadraticCache, first_block: int, stop_block: int
-) -> NDArray:
-    """Standardized draws of blocks [first_block, stop_block).
+def product_sampler(kind: ProductKind):
+    """The exact sampler of ``kind``: ``sampler(cache, n, rng, size) -> (values, nus)``."""
+    return sample_cov_product if kind is ProductKind.COV_TIMES_MEAN else sample_precision_product
 
-    Block ``b`` is drawn from ``RngStream(master_seed, b)`` and
-    standardized as soon as it is drawn, so no ``(n_reps, q)`` array of
-    shifts is kept.
+
+def draw_blocks(
+    count: int, master_seed: int, first_stream: int, sampler, source, n: int
+) -> tuple[NDArray, ...]:
+    """``sampler(source, n, rng, size)`` over ``count`` replicates, concatenated.
+
+    Block ``b`` draws ``min(BLOCK_SIZE, count - b * BLOCK_SIZE)`` replicates
+    on ``RngStream(master_seed, first_stream + b)``.  ``sampler`` returns a
+    tuple of per-replicate arrays (a product sampler on a ``QuadraticCache``,
+    or ``sample_data_matrix`` on a ``ModelSpec``); each is concatenated.
     """
-    sampler = (
-        sample_cov_product
-        if cfg.product is ProductKind.COV_TIMES_MEAN
-        else sample_precision_product
-    )
-    offset = first_block * BLOCK_SIZE
-    out = np.empty(min(stop_block * BLOCK_SIZE, cfg.n_reps) - offset)
-    for block in range(first_block, stop_block):
-        start = block * BLOCK_SIZE - offset
-        count = min(BLOCK_SIZE, out.size - start)
-        rng = RngStream(cfg.master_seed, block)
-        values, nus = sampler(cache, cfg.n, rng, count)
-        z = standardize(values, nus, cache, cfg.n, cfg.product)
-        out[start : start + count] = z
-    return out
+    blocks = [
+        sampler(source, n, RngStream(master_seed, first_stream + b), min(BLOCK_SIZE, count - at))
+        for b, at in enumerate(range(0, count, BLOCK_SIZE))
+    ]
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
+
+
+def _standardized(
+    kind: ProductKind, cache: QuadraticCache, n: int, rng: RngStream, size: int
+) -> tuple[NDArray]:
+    """One block of ``kind``, standardized as soon as it is drawn, so no shifts are kept."""
+    values, nus = product_sampler(kind)(cache, n, rng, size)
+    return (standardize(values, nus, cache, n, kind),)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> NDArray:
@@ -152,8 +156,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> NDArray:
         raise InvalidInputError(f"threads must be >= 1 (got {threads})")
     model = generate_paper_model(cfg.p, cfg.nu, cfg.model_seed)
     cache = precompute_quadratics(model, np.ones(cfg.p))
-    n_blocks = -(-cfg.n_reps // BLOCK_SIZE)
-    return map_ranges(partial(_draw_range, cfg, cache), n_blocks, threads)
+    sampler = partial(_standardized, cfg.product)
+
+    def draw_range(first_block: int, stop_block: int) -> NDArray:
+        count = min(stop_block * BLOCK_SIZE, cfg.n_reps) - first_block * BLOCK_SIZE
+        return draw_blocks(count, cfg.master_seed, first_block, sampler, cache, cfg.n)[0]
+
+    return map_ranges(draw_range, -(-cfg.n_reps // BLOCK_SIZE), threads)
 
 
 def summarize_experiment(standardized: NDArray, *, threads: int = 1) -> GofReport:

@@ -30,18 +30,15 @@ from .distributions import (
     sample_nu,
 )
 from .errors import InvalidInputError, RegimeError
-from .harness import BLOCK_SIZE, default_nu, generate_paper_model
-from .model import ModelSpec, sample_data_matrix, sample_mean_and_cov
-from .products import (
-    ProductKind,
-    QuadraticCache,
-    sample_cov_product,
-    sample_precision_product,
-)
+from .harness import default_nu, draw_blocks, generate_paper_model, product_sampler
+from .model import ModelSpec, SampleMoments, sample_data_matrix, sample_mean_and_cov
+from .products import ProductKind, QuadraticCache
 from .rng import RngStream
 
-# Each check draws from its own range of _STRIDE stream indices, so checks
-# use independent streams.
+# Check k on the verify seed draws its blocks on streams k * _STRIDE on;
+# every other master seed (seed + offset) belongs to one check or one
+# model.  So no two checks, and no two oracle models, share a
+# (master_seed, stream) pair, and distinct pairs are independent (NEP 19).
 _STRIDE = 1_000_000
 
 # The (p, n, q) = (1, 2, 1) half-normal model of the density checks.
@@ -97,20 +94,11 @@ def dense_test_model(
     return ModelSpec(mu=mu, sigma=sigma, b=b, nu=default_nu(family, q)), l
 
 
-def _block_draws(
-    count: int, master_seed: int, first_stream: int, sampler, source, n: int
-) -> tuple[NDArray, ...]:
-    """``sampler(source, n, rng, size)`` over ``count`` replicates, concatenated.
-
-    Block b of BLOCK_SIZE replicates draws on stream ``first_stream + b``.
-    ``sampler`` is a product sampler on a ``QuadraticCache`` or the matrix
-    oracle ``sample_data_matrix`` on a ``ModelSpec``.
-    """
-    blocks = []
-    for b, start in enumerate(range(0, count, BLOCK_SIZE)):
-        rng = RngStream(master_seed, first_stream + b)
-        blocks.append(sampler(source, n, rng, min(BLOCK_SIZE, count - start)))
-    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
+def _oracle_products(m: SampleMoments, l: NDArray, kind: ProductKind) -> NDArray:
+    """``l'S xbar`` or ``l'S^{-1} xbar`` of every matrix; each ``S`` is solved on its own."""
+    if kind is ProductKind.PRECISION_TIMES_MEAN:
+        return np.linalg.solve(m.s_matrix, m.xbar[..., None])[..., 0] @ l
+    return np.einsum("kij,kj->ki", m.s_matrix, m.xbar) @ l
 
 
 def oracle_product_draws(
@@ -121,35 +109,27 @@ def oracle_product_draws(
     Matrices come in blocks from stream 0 of ``master_seed`` on; every S
     is formed and, for the precision product, solved on its own.
     """
-    x, _ = _block_draws(count, master_seed, 0, sample_data_matrix, model, n)
-    m = sample_mean_and_cov(x)
-    if kind is ProductKind.PRECISION_TIMES_MEAN:
-        return np.linalg.solve(m.s_matrix, m.xbar[..., None])[..., 0] @ l
-    return np.einsum("kij,kj->ki", m.s_matrix, m.xbar) @ l
+    x, _ = draw_blocks(count, master_seed, 0, sample_data_matrix, model, n)
+    return _oracle_products(sample_mean_and_cov(x), l, kind)
 
 
 # Draws per side of the representation-vs-oracle KS checks, and their
 # bound: the two-sample 1 percent critical value plus a margin.
 _ORACLE_DRAWS = 5000
 _ORACLE_KS = 0.04
-_SAMPLERS = {
-    ProductKind.COV_TIMES_MEAN: sample_cov_product,
-    ProductKind.PRECISION_TIMES_MEAN: sample_precision_product,
-}
 
 
 def _oracle_ks_check(
     name: str, detail: str, model: ModelSpec, l: NDArray, n: int, kind: ProductKind,
-    rep_seed: int, rep_stream: int, oracle_seed: int,
+    rep_seed: int, rep_stream: int, oracle: NDArray,
 ) -> CheckResult:
-    """Two-sample KS between a product's representation draws and the matrix oracle's.
+    """Two-sample KS between a product's representation draws and the ``oracle`` draws.
 
     The representation draws come in blocks from stream ``rep_stream`` of
-    ``rep_seed`` on, the oracle's from stream 0 of ``oracle_seed`` on.
+    ``rep_seed`` on.
     """
-    cache = QuadraticCache(model, l)
-    rep = _block_draws(_ORACLE_DRAWS, rep_seed, rep_stream, _SAMPLERS[kind], cache, n)[0]
-    oracle = oracle_product_draws(model, l, n, oracle_seed, _ORACLE_DRAWS, kind)
+    sampler = product_sampler(kind)
+    rep = draw_blocks(_ORACLE_DRAWS, rep_seed, rep_stream, sampler, QuadraticCache(model, l), n)[0]
     return _check(name, ks_2samp(rep, oracle).statistic, _ORACLE_KS, detail)
 
 
@@ -160,35 +140,36 @@ def representation_vs_oracle(seed: int) -> list[CheckResult]:
     families, at the two-sample KS bound (1 percent critical plus margin).
     """
     results = []
-    block = 0
-    for p, n, q in [(3, 12, 1), (5, 20, 2), (8, 25, 3)]:
-        for family in ("tn", "gal"):
-            model, l = dense_test_model(p, q, seed + block, family)
-            for kind in ProductKind:
-                # Two block indices per check; its draws take the first.
-                block += 2
-                results.append(
-                    _oracle_ks_check(
-                        f"representation-vs-oracle {kind.value} p={p} n={n} q={q} nu={family}",
-                        f"two-sample KS at N={_ORACLE_DRAWS} per side",
-                        model, l, n, kind, seed, (block - 1) * _STRIDE, seed + 7919,
-                    )
+    shapes = [(pnq, f) for pnq in [(3, 12, 1), (5, 20, 2), (8, 25, 3)] for f in ("tn", "gal")]
+    for j, ((p, n, q), family) in enumerate(shapes):
+        model, l = dense_test_model(p, q, seed + 40 + j, family)
+        x, _ = draw_blocks(_ORACLE_DRAWS, seed + 7919 + j, 0, sample_data_matrix, model, n)
+        moments = sample_mean_and_cov(x)
+        for i, kind in enumerate(ProductKind):
+            results.append(
+                _oracle_ks_check(
+                    f"representation-vs-oracle {kind.value} p={p} n={n} q={q} nu={family}",
+                    f"two-sample KS at N={_ORACLE_DRAWS} per side",
+                    model, l, n, kind, seed, (20 + 2 * j + i) * _STRIDE,
+                    _oracle_products(moments, l, kind),
                 )
+            )
     return results
 
 
 def singular_regime_vs_oracle(seed: int) -> list[CheckResult]:
     """Covariance product in the rank-deficient regime p > n - 1."""
     p, n, q = 15, 10, 2
-    return [
-        _oracle_ks_check(
-            f"singular-regime cov p={p} n={n} nu={family}",
-            "S has rank n-1 < p; representation must still match",
-            *dense_test_model(p, q, seed + 31 + k, family), n, ProductKind.COV_TIMES_MEAN,
-            seed + 1, k * _STRIDE, seed + 104729 + k,
-        )
-        for k, family in enumerate(("tn", "gal"))
-    ]
+    cov = ProductKind.COV_TIMES_MEAN
+    results = []
+    for k, family in enumerate(("tn", "gal")):
+        model, l = dense_test_model(p, q, seed + 31 + k, family)
+        oracle = oracle_product_draws(model, l, n, seed + 104729 + k, _ORACLE_DRAWS, cov)
+        name = f"singular-regime cov p={p} n={n} nu={family}"
+        detail = "S has rank n-1 < p; representation must still match"
+        stream = k * _STRIDE
+        results.append(_oracle_ks_check(name, detail, model, l, n, cov, seed + 1, stream, oracle))
+    return results
 
 
 def suite_oracle(seed: int = 0) -> list[CheckResult]:
@@ -252,7 +233,7 @@ def wishart_and_independence_checks(seed: int) -> list[CheckResult]:
     results = []
     p, n, q, reps = 4, 20, 2, 10_000
     model, l = dense_test_model(p, q, seed + 57)
-    x, _ = _block_draws(reps, seed, 10 * _STRIDE, sample_data_matrix, model, n)
+    x, _ = draw_blocks(reps, seed, 10 * _STRIDE, sample_data_matrix, model, n)
     m = sample_mean_and_cov(x)
     s_mean = m.s_matrix.mean(axis=0)
     tr_s = np.trace(m.s_matrix, axis1=1, axis2=2)
@@ -273,7 +254,7 @@ def _sampling_moment_checks(seed: int) -> list[CheckResult]:
     # Marginal of the mean vector: xbar - B nu ~ N(mu, sigma/n).
     p, n, reps = 4, 50, 10_000
     model, _ = dense_test_model(p, q, seed + 58)
-    x, nus = _block_draws(reps, seed, 11 * _STRIDE, sample_data_matrix, model, n)
+    x, nus = draw_blocks(reps, seed, 11 * _STRIDE, sample_data_matrix, model, n)
     resid = x.mean(axis=2) - nus @ model.b.T
     target_cov = model.sigma / n
     se = np.sqrt(np.diag(target_cov) / reps)
@@ -291,8 +272,8 @@ def _sampling_moment_checks(seed: int) -> list[CheckResult]:
     model_gal = ModelSpec(
         mu=model_tn.mu, sigma=model_tn.sigma, b=model_tn.b, nu=default_nu("gal", q)
     )
-    x_tn, _ = _block_draws(reps, seed + 2, 12 * _STRIDE, sample_data_matrix, model_tn, n)
-    x_gal, _ = _block_draws(reps, seed + 3, 13 * _STRIDE, sample_data_matrix, model_gal, n)
+    x_tn, _ = draw_blocks(reps, seed + 2, 12 * _STRIDE, sample_data_matrix, model_tn, n)
+    x_gal, _ = draw_blocks(reps, seed + 3, 13 * _STRIDE, sample_data_matrix, model_gal, n)
     tr_tn = np.trace(sample_mean_and_cov(x_tn).s_matrix, axis1=1, axis2=2)
     tr_gal = np.trace(sample_mean_and_cov(x_gal).s_matrix, axis1=1, axis2=2)
     results.append(
@@ -318,16 +299,17 @@ def _fixed_shift_variance(
 ) -> tuple[CheckResult, float, float, float]:
     """Variance of one product's draws at a fixed shift against its limit.
 
-    The shift is drawn once from stream 0 of ``shift_seed`` and held by a
-    point-mass cache; the product's 100 000 draws come in blocks from
-    stream ``stream`` of ``seed`` on.  Returns the limit-variance check,
-    the limit centre, and the draws' mean and its standard error.
+    The model is the study's at ``seed``.  The shift is drawn once from
+    stream 0 of ``shift_seed`` and held by a point-mass cache; the
+    product's 100 000 draws come in blocks from stream ``stream`` of
+    ``seed`` on.  Returns the limit-variance check, the limit centre, and
+    the draws' mean and its standard error.
     """
     n_reps = 100_000
     model = generate_paper_model(p, default_nu("tn", 10), seed)
     nu_fix = sample_nu(model.nu, RngStream(shift_seed, 0), 1)[0]
     cache = QuadraticCache(replace(model, nu=Degenerate(nu_fix)), np.ones(p))
-    vals = _block_draws(n_reps, seed, stream, _SAMPLERS[kind], cache, n)[0]
+    vals = draw_blocks(n_reps, seed, stream, product_sampler(kind), cache, n)[0]
     center, target = limit_moments(cache, p / n, nu_fix, kind)
     observed = np.var(np.sqrt(n) * (vals - center), ddof=1)
     check = _rel_err(
@@ -358,7 +340,7 @@ def conditional_variance_precision(seed: int) -> list[CheckResult]:
     """
     p, n = 100, 1000
     check, center_asym, mean, se_mean = _fixed_shift_variance(
-        ProductKind.PRECISION_TIMES_MEAN, p, n, seed, seed + 12, 15 * _STRIDE
+        ProductKind.PRECISION_TIMES_MEAN, p, n, seed + 10, seed + 12, 15 * _STRIDE
     )
     # l'Sigma^{-1}mu_nu recovered from the asymptotic centre a / (1 - c).
     center_exact = (n - 1) / (n - p - 2) * center_asym * (1.0 - p / n)
@@ -586,7 +568,7 @@ def _kde_density_consistency(seed: int) -> CheckResult:
     n_draws = 100_000
     model = TINY_MODEL
     ws = build_workspace(model, 2)
-    x, _ = _block_draws(n_draws, seed, 19 * _STRIDE, sample_data_matrix, model, 2)
+    x, _ = draw_blocks(n_draws, seed, 19 * _STRIDE, sample_data_matrix, model, 2)
     draws = x[:, 0, :]
     # Pointwise error at density ~0.05 is variance-dominated at this N, so
     # oversmooth relative to the MISE rate; the density is smooth enough

@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from locmix.errors import (
     RegimeError,
 )
 from locmix.verify import (
+    TINY_MODEL,
     collapse_check,
     dense_test_model,
     determinant_identity_check,
@@ -88,6 +90,15 @@ def test_log_density_dimension_mismatch(tiny_tn_model):
     ws = build_workspace(tiny_tn_model, 2)
     with pytest.raises(InvalidInputError):
         log_density(ws, np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("loading", [0.0, 0.7])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_log_density_rejects_non_finite_data(loading, bad):
+    # A zero loading returns before the orthant step, so the data are read first.
+    ws = build_workspace(replace(TINY_MODEL, b=np.array([[loading]])), 2)
+    with pytest.raises(InvalidInputError, match="data must be finite"):
+        log_density(ws, np.array([[0.5, bad]]))
 
 
 def test_quadrature_fallback_limits(tiny_tn_model):

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from locmix import Degenerate, ProductKind
+from locmix import Degenerate, ProductKind, RngStream
 from locmix.errors import InvalidInputError, RegimeError
 from locmix.figures import FIGURE_TABLE, PANEL_TABLE, figure_config
 import locmix.harness as harness
@@ -17,6 +17,7 @@ from locmix.harness import (
 )
 from locmix.kde import DEFAULT_KDE_GRID, default_bandwidth_grid, ks_statistic
 from locmix.model import decompose_sigma
+from locmix.products import precompute_quadratics, sample_cov_product
 
 
 def small_config(**overrides):
@@ -92,6 +93,20 @@ def test_run_experiment_thread_invariance():
         sys.setswitchinterval(interval)
     assert serial.shape == (cfg.n_reps,)
     np.testing.assert_array_equal(serial, parallel)
+
+
+def test_draw_blocks_equals_per_block_draws_by_hand():
+    # Block b draws min(BLOCK_SIZE, count - b * BLOCK_SIZE) replicates on
+    # stream first + b; every array the sampler returns is concatenated.
+    cache = precompute_quadratics(generate_paper_model(6, default_nu("tn", 2), 3), np.ones(6))
+    count, first = 2 * BLOCK_SIZE + 17, 5
+    values, nus = harness.draw_blocks(count, 9, first, sample_cov_product, cache, 40)
+    by_hand = [
+        sample_cov_product(cache, 40, RngStream(9, first + b), size)
+        for b, size in enumerate([BLOCK_SIZE, BLOCK_SIZE, 17])
+    ]
+    np.testing.assert_array_equal(values, np.concatenate([v for v, _ in by_hand]))
+    np.testing.assert_array_equal(nus, np.concatenate([u for _, u in by_hand]))
 
 
 @pytest.mark.parametrize("threads", [1, 3])

@@ -84,3 +84,6 @@ def test_traced_cli_calls_reach_every_metric_span(tmp_path):
     totals = tracer.layer_totals()
     missed = [span for span in METRIC_SPANS if totals.get(span, {}).get("calls", 0) < 1]
     assert not missed
+    # The model stream and one block stream of the 500 replicates, and the
+    # orthant step's default stream: a moved stream lookup changes this.
+    assert tracer.counts["rng.streams"] == 3
