@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import logging
 import os
@@ -78,33 +79,41 @@ def _config_to_json(cfg: ExperimentConfig, normal_column: bool) -> dict:
     }
 
 
-def _blas_threads() -> int | None:
-    """Thread count of the OpenBLAS bundled with numpy; None if it cannot be read."""
-    libdir = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib_path in sorted(libdir.glob("*openblas*.so*")):
+@functools.cache
+def _openblas() -> tuple | None:
+    """The get and set thread-count functions of numpy's bundled OpenBLAS, or None."""
+    for lib_path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*.so*")):
         try:
             lib = ctypes.CDLL(str(lib_path))
         except OSError:
             continue
-        for symbol in (
-            "scipy_openblas_get_num_threads64_",
-            "scipy_openblas_get_num_threads",
-            "openblas_get_num_threads64_",
-            "openblas_get_num_threads",
-        ):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return int(fn())
+        for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            if hasattr(lib, name % "get") and hasattr(lib, name % "set"):
+                get, set_ = getattr(lib, name % "get"), getattr(lib, name % "set")
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
+
+
+def _blas_threads(threads: int | None = None) -> int | None:
+    """Thread count of numpy's bundled OpenBLAS, None without one; given
+    ``threads``, set it to that and return the count before."""
+    if (lib := _openblas()) is None:
+        return None
+    get, set_ = lib
+    current = get()
+    if threads not in (None, current):
+        set_(threads)
+    return current
 
 
 def _environment() -> dict:
     """Versions, bit generator and BLAS that determine the bytes of a run.
 
     OpenBLAS rounds a matrix product differently at different thread
-    counts, so the BLAS entry records its threads too.
+    counts, so the BLAS entry records its threads too: 1 under :func:`main`.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -121,13 +130,15 @@ def _environment() -> dict:
 
 
 def _manifest_int(doc: dict, name: str) -> int:
-    """An integer field of a manifest; ``int`` alone would truncate 10.7."""
+    """An integer field of a manifest; ``int`` alone would take 10.7, "10" or true."""
     value = doc[name]
-    if isinstance(value, float) and not value.is_integer():
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:  # not isinstance: a JSON true is a bool
         raise InvalidInputError(
-            f"manifest field {name!r} must be an integer (got {value!r})"
+            f"manifest field {name!r} must be an integer (got {json.dumps(value)})"
         )
-    return int(value)
+    return value
 
 
 # Every key of a manifest config; a key outside them (such as the ``c``,
@@ -151,21 +162,17 @@ def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
             f"version's stream contract (block b of {BLOCK_SIZE} replicates uses "
             "stream (master_seed, b)); its draws cannot be replayed"
         )
+    normal_column = doc.get("kde_normal_column", False)
+    if not isinstance(normal_column, bool):
+        raise InvalidInputError("manifest field 'kde_normal_column' must be true or false")
     try:
-        fields = dict(
-            p=_manifest_int(doc, "p"),
-            n=_manifest_int(doc, "n"),
-            n_reps=_manifest_int(doc, "n_reps"),
-            product=ProductKind(doc["product"]),
-            nu=parse_nu(doc["nu"]),
-            master_seed=_manifest_int(doc, "master_seed"),
-            model_seed=_manifest_int(doc, "model_seed"),
-        )
+        ints = {k: _manifest_int(doc, k) for k in "p n n_reps master_seed model_seed".split()}
+        product, nu = ProductKind(doc["product"]), parse_nu(doc["nu"])
     except KeyError as exc:
         raise InvalidInputError(f"manifest config is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed manifest config: {exc}") from exc
-    return ExperimentConfig(**fields), bool(doc.get("kde_normal_column", False))
+    return ExperimentConfig(product=product, nu=nu, **ints), normal_column
 
 
 def _write_samples(path: Path, standardized: np.ndarray) -> None:
@@ -265,27 +272,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     ):
         raise InvalidInputError("manifest, config and environment must be JSON objects")
     cfg, normal_column = _config_from_json(doc["config"])
-    env = doc.get("environment", {})
-    written_with = env.get("numpy")
-    if written_with != np.__version__:
-        logger.warning(
-            "manifest was written with numpy %s but this is numpy %s; numpy "
-            "does not promise identical random streams across versions, so "
-            "the replay may not be byte-identical",
-            written_with,
-            np.__version__,
-        )
-    blas = env.get("blas")
-    written_threads = blas.get("threads") if isinstance(blas, dict) else None
-    threads = _blas_threads()
-    if written_threads != threads:
-        logger.warning(
-            "manifest was written with %s BLAS threads but this process has %s; "
-            "OpenBLAS rounds matrix products differently at other thread "
-            "counts, so the replay may not be byte-identical",
-            written_threads,
-            threads,
-        )
+    env, here = doc.get("environment", {}), _environment()
+    differ = "; ".join(
+        f"{k} {env.get(k)} (here {here[k]})" for k in ("numpy", "blas") if env.get(k) != here[k]
+    )
+    if differ:
+        logger.warning("manifest environment differs in %s; bytes may differ", differ)
     return _run_and_write(cfg, args.out, args.threads, normal_column)
 
 
@@ -350,9 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="threads that draw and score the replicates, at least 1 (output is "
-        "independent of this)",
+        default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1,
+        help="threads that draw and score the replicates, at least 1 (default: "
+        "the CPUs this process may run on; output is independent of this)",
     )
     # The two commands that draw a new run also choose its size and model.
     draws = argparse.ArgumentParser(add_help=False, parents=[output])
@@ -414,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    # One BLAS thread for every command, so a run's bytes do not follow
+    # OPENBLAS_NUM_THREADS and BLAS threads do not compete with --threads.
+    blas_threads = _blas_threads(1)
     try:
         # Looked up per call, so a replaced handler is the one that runs.
         return globals()[f"_cmd_{args.command}"](args)
@@ -429,6 +425,8 @@ def main(argv: list[str] | None = None) -> int:
     except AccuracyNotMetError as exc:
         print(f"accuracy not met: {exc}", file=sys.stderr)
         return 5
+    finally:
+        _blas_threads(blas_threads)
 
 
 if __name__ == "__main__":

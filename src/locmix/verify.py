@@ -614,6 +614,8 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     """Run one named suite, or all of them."""
+    if seed < 0:
+        raise InvalidInputError(f"verify seed must be nonnegative (got {seed})")
     if name == "all":
         results = []
         for suite in SUITES.values():

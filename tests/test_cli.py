@@ -582,7 +582,8 @@ def test_manifest_records_stream_contract_and_environment(tmp_path):
         "blas": {
             "name": blas["name"],
             "version": blas["version"],
-            "threads": cli._blas_threads(),
+            # main pins numpy's OpenBLAS to one thread for every command.
+            "threads": None if cli._blas_threads() is None else 1,
         },
     }
 
@@ -596,6 +597,67 @@ def test_blas_threads_read_from_numpy_openblas(threads):
         "from locmix import cli; print(cli._blas_threads())"
     )
     assert _fresh_interpreter(code).stdout.split() == [str(threads)]
+
+
+def test_main_pins_one_blas_thread_and_restores_the_count_on_every_exit(tmp_path):
+    if cli._blas_threads() is None:
+        pytest.skip("numpy does not bundle an OpenBLAS whose thread count can be set")
+    ok = simulate_args(tmp_path / "ok")
+    bad = simulate_args(tmp_path / "bad", extra=("--seed", "-1"))
+    code = (
+        "import os; os.environ['OPENBLAS_NUM_THREADS'] = '2'; from locmix import cli; "
+        "simulate = cli._cmd_simulate; "
+        "cli._cmd_simulate = lambda args: print(cli._blas_threads()) or simulate(args); "
+        f"print(cli.main({ok!r}), cli._blas_threads()); "
+        f"print(cli.main({bad!r}), cli._blas_threads())"
+    )
+    # Per call: the count inside the command, then the exit code and the
+    # count after main returned.
+    assert _fresh_interpreter(code).stdout.split() == ["1", "0", "2", "1", "2", "2"]
+
+
+def test_figure_bytes_independent_of_blas_and_draw_threads(tmp_path):
+    # Panel 4b's covariance draws multiply a (rows, 950) tile by a
+    # (950, 10) matrix, a product OpenBLAS rounds differently on 2 threads.
+    for blas in ("1", "2"):
+        runs = [
+            ["figure", "--figure", "4", "--panel", "b", "--nreps", "8192",
+             "--threads", threads, "--out", str(tmp_path / f"blas{blas}-threads{threads}")]
+            for threads in ("1", "3")
+        ]
+        code = (
+            f"import os; os.environ['OPENBLAS_NUM_THREADS'] = '{blas}'; "
+            f"from locmix.cli import main; assert [main(a) for a in {runs!r}] == [0, 0]"
+        )
+        _fresh_interpreter(code)
+    for name in ("samples.csv", "kde.csv"):
+        outputs = {(d / name).read_bytes() for d in tmp_path.iterdir()}
+        assert len(outputs) == 1, name
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_default_threads_count_the_cpus_this_process_may_run_on():
+    code = (
+        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from locmix import cli; "
+        "print(cli.build_parser().parse_args(['figure', '--figure', '1', '--panel', 'a', "
+        "'--out', 'x']).threads)"
+    )
+    assert _fresh_interpreter(code).stdout.split() == ["1"]
+
+
+def test_verify_negative_seed_exit_2_before_any_check(monkeypatch, capsys):
+    from locmix import verify
+
+    def no_check(seed):
+        raise AssertionError("a check ran with a negative seed")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, no_check)
+    assert run_cli("verify", "--suite", "all", "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: verify seed must be nonnegative (got -1)"]
 
 
 @pytest.mark.parametrize("block_size", [None, 1])
@@ -613,35 +675,47 @@ def test_manifest_replay_other_block_size_exit_2(tmp_path, capsys, block_size):
     assert "stream contract" in capsys.readouterr().err
 
 
-def test_manifest_replay_other_numpy_warns(tmp_path, caplog):
+def _replay_warnings(tmp_path, caplog, edit):
+    """Replay a fresh run's manifest after ``edit``; return the run's manifest,
+    the replay's log messages and whether both wrote the same samples.csv."""
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_cli(*simulate_args(out1))
     manifest = json.loads((out1 / "manifest.json").read_text())
-    manifest["environment"]["numpy"] = "0.0.1"
-    (tmp_path / "old.json").write_text(json.dumps(manifest))
-    replay = ("replay", str(tmp_path / "old.json"), "--out", str(out2))
+    edited = json.loads(json.dumps(manifest))
+    edit(edited["environment"])
+    (tmp_path / "edited.json").write_text(json.dumps(edited))
     with caplog.at_level("WARNING", logger="locmix.cli"):
-        assert run_cli(*replay) == 0
-    assert any("numpy 0.0.1" in r.getMessage() for r in caplog.records)
-    assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
+        assert run_cli("replay", str(tmp_path / "edited.json"), "--out", str(out2)) == 0
+    same = (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
+    return manifest, [r.getMessage() for r in caplog.records], same
+
+
+def test_manifest_replay_other_numpy_warns(tmp_path, caplog):
+    manifest, messages, same = _replay_warnings(
+        tmp_path, caplog, lambda env: env.update(numpy="0.0.1")
+    )
+    assert messages == [
+        f"manifest environment differs in numpy 0.0.1 (here {np.__version__}); bytes may differ"
+    ]
+    assert same
 
     caplog.clear()
     with caplog.at_level("WARNING", logger="locmix.cli"):
-        run_cli("replay", str(out1 / "manifest.json"), "--out", str(out2))
+        run_cli("replay", str(tmp_path / "a" / "manifest.json"), "--out", str(tmp_path / "c"))
     assert not caplog.records
 
 
 def test_manifest_replay_other_blas_threads_warns(tmp_path, caplog):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    run_cli(*simulate_args(out1))
-    manifest = json.loads((out1 / "manifest.json").read_text())
-    manifest["environment"]["blas"]["threads"] = 64
-    (tmp_path / "other.json").write_text(json.dumps(manifest))
-    with caplog.at_level("WARNING", logger="locmix.cli"):
-        assert run_cli("replay", str(tmp_path / "other.json"), "--out", str(out2)) == 0
-    (record,) = caplog.records
-    assert "written with 64 BLAS threads" in record.getMessage()
-    assert f"this process has {cli._blas_threads()};" in record.getMessage()
+    # A manifest written before the CLI pinned one BLAS thread records the
+    # count of its process, such as 2; one warning names the blas field.
+    manifest, messages, _ = _replay_warnings(
+        tmp_path, caplog, lambda env: env["blas"].update(threads=2)
+    )
+    here = manifest["environment"]["blas"]
+    assert messages == [
+        f"manifest environment differs in blas {dict(here, threads=2)} (here {here}); "
+        "bytes may differ"
+    ]
 
 
 def test_samples_csv_chunks_match_one_join(tmp_path):
@@ -698,6 +772,11 @@ def test_negative_seed_exit_2(tmp_path, capsys, flag, value):
         ("bandwidth_grid", [-1.0, 0.0]),
         ("bandwidth_grid", []),
         ("bandwidth_grid", [0.1, float("inf")]),
+        # A JSON true is not the integer 1, a string is not a number, and
+        # bool("no") must not read as true.
+        ("p", True),
+        ("p", "10"),
+        ("kde_normal_column", "no"),
     ],
 )
 def test_manifest_malformed_field_exit_2(tmp_path, monkeypatch, field, value):
