@@ -54,15 +54,19 @@ from .rng import BIT_GENERATOR
 
 logger = logging.getLogger(__name__)
 
-# Values per formatted chunk of samples.csv.
+# Rows per formatted chunk of a CSV file.
 _CSV_CHUNK = 1 << 16
 
 # Format of every CSV number: 17 significant digits round-trip a 64-bit float.
 _FLOAT = "%.17g"
 
-
-def _fmt(x: float) -> str:
-    return _FLOAT % x
+# Exit code and stderr prefix of each error type that :func:`main` reports.
+_EXIT_CODES = {
+    InvalidInputError: (2, "error: "),
+    RegimeError: (3, "error: "),
+    OSError: (4, "I/O error: "),
+    AccuracyNotMetError: (5, "accuracy not met: "),
+}
 
 
 def _config_to_json(cfg: ExperimentConfig, normal_column: bool) -> dict:
@@ -175,17 +179,19 @@ def _config_from_json(doc: dict) -> tuple[ExperimentConfig, bool]:
     return ExperimentConfig(product=product, nu=nu, **ints), normal_column
 
 
-def _write_samples(path: Path, standardized: np.ndarray) -> None:
-    """``samples.csv``: a header, then each value as :func:`_fmt` writes it.
+def _write_csv(path: Path, header: str, *columns: np.ndarray) -> None:
+    """A ``header`` line, then row i of the equally long ``columns``, each
+    value as :data:`_FLOAT` writes it.
 
-    One ``%`` format per fixed chunk of values, so the text held at once
-    is one chunk's, whatever the number of replicates.
+    One ``%`` format per fixed chunk of rows, so the text held at once is
+    one chunk's, whatever the number of rows.
     """
+    row = ",".join([_FLOAT] * len(columns)) + "\n"
     with open(path, "w") as f:
-        f.write("standardized\n")
-        for start in range(0, standardized.size, _CSV_CHUNK):
-            chunk = standardized[start : start + _CSV_CHUNK].tolist()
-            f.write((_FLOAT + "\n") * len(chunk) % tuple(chunk))
+        f.write(header + "\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            chunk = np.column_stack([c[start : start + _CSV_CHUNK] for c in columns])
+            f.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _write_outputs(
@@ -197,20 +203,12 @@ def _write_outputs(
     normal_column: bool,
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_samples(out_dir / "samples.csv", standardized)
-
+    _write_csv(out_dir / "samples.csv", "standardized", standardized)
+    x = report.kde_x
+    kde = {"x": x, "density": report.kde_density}
     if normal_column:
-        header = "x,density,normal"
-        rows = (
-            f"{_fmt(x)},{_fmt(d)},{_fmt(np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi))}"
-            for x, d in zip(report.kde_x, report.kde_density)
-        )
-    else:
-        header = "x,density"
-        rows = (
-            f"{_fmt(x)},{_fmt(d)}" for x, d in zip(report.kde_x, report.kde_density)
-        )
-    (out_dir / "kde.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
+        kde["normal"] = np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
+    _write_csv(out_dir / "kde.csv", ",".join(kde), *kde.values())
 
     config_json = _config_to_json(cfg, normal_column)
     report_doc = {
@@ -413,18 +411,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Looked up per call, so a replaced handler is the one that runs.
         return globals()[f"_cmd_{args.command}"](args)
-    except RegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 4
-    except AccuracyNotMetError as exc:
-        print(f"accuracy not met: {exc}", file=sys.stderr)
-        return 5
+    except tuple(_EXIT_CODES) as exc:
+        code, prefix = next(v for t, v in _EXIT_CODES.items() if isinstance(exc, t))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
     finally:
         _blas_threads(blas_threads)
 

@@ -48,6 +48,21 @@ DEFAULT_KDE_GRID = (-4.0, 4.0, 201)
 # Number of log-spaced candidates in the default bandwidth grid.
 _BANDWIDTH_CANDIDATES = 30
 
+# Bandwidths the KDE and LSCV accept.  LSCV's kernel coefficients hold
+# h^-5 and its prefix sums fifth powers of sample gaps; on this range h^5
+# and h^-5 are normal floats with a margin of 1e58 either way.
+_BANDWIDTH_RANGE = (1e-50, 1e50)
+
+
+def _bandwidths(values: NDArray, what: str) -> NDArray:
+    """``values`` as a flat array, each a finite bandwidth in :data:`_BANDWIDTH_RANGE`."""
+    h = finite_array(values, what).reshape(-1)
+    lo, hi = _BANDWIDTH_RANGE
+    outside = (h < lo) | (h > hi)
+    if np.any(outside):
+        raise InvalidInputError(f"{what} must lie in [{lo:g}, {hi:g}] (got {h[outside][0]:g})")
+    return h
+
 
 def epanechnikov_kde(samples: NDArray, bandwidth: float, grid: NDArray) -> NDArray:
     """Evaluate the Epanechnikov kernel density estimate on a grid.
@@ -58,11 +73,9 @@ def epanechnikov_kde(samples: NDArray, bandwidth: float, grid: NDArray) -> NDArr
     """
     samples = finite_array(samples, "samples").reshape(-1)
     grid = finite_array(grid, "KDE grid").reshape(-1)
-    h = float(finite_array(bandwidth, "bandwidth"))
+    h = _bandwidths(bandwidth, "bandwidth").item()
     if samples.size == 0:
         raise InvalidInputError("samples must be nonempty")
-    if h <= 0:
-        raise InvalidInputError("bandwidth must be positive")
     s = np.sort(samples)
     n = s.size
     p0 = np.arange(n + 1, dtype=float)
@@ -218,11 +231,9 @@ def lscv_scores(samples: NDArray, bandwidths: NDArray, *, threads: int = 1) -> N
     of its own; the scores are identical for every value.
     """
     samples = finite_array(samples, "samples").reshape(-1)
-    bandwidths = finite_array(bandwidths, "bandwidths").reshape(-1)
+    bandwidths = _bandwidths(bandwidths, "bandwidths")
     if bandwidths.size == 0:
         raise InvalidInputError("bandwidth grid must be nonempty")
-    if np.any(bandwidths <= 0):
-        raise InvalidInputError("bandwidths must be positive")
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1 (got {threads})")
     if samples.size < 2:
@@ -255,10 +266,15 @@ def default_bandwidth_grid(samples: NDArray) -> NDArray:
     samples = finite_array(samples, "samples").reshape(-1)
     if samples.size < 2:
         raise InvalidInputError("need at least two samples")
-    scale = float(np.std(samples, ddof=1))
-    if scale == 0.0:
-        scale = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge spread reads inf or nan
+        scale = float(np.std(samples, ddof=1))
     base = scale * samples.size ** (-0.2)
+    lo, hi = _BANDWIDTH_RANGE
+    if not lo <= 0.25 * base < 4.0 * base <= hi:
+        raise InvalidInputError(
+            f"sample standard deviation {scale:g} puts the bandwidth candidates "
+            f"outside [{lo:g}, {hi:g}]"
+        )
     return np.geomspace(0.25 * base, 4.0 * base, _BANDWIDTH_CANDIDATES)
 
 

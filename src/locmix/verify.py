@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
@@ -79,6 +79,19 @@ def _rel_err(
     return _check(name, worst / abs(target), tolerance, detail)
 
 
+def _ks_check(name: str, a: NDArray, b: NDArray, bound: float, detail: str = "") -> CheckResult:
+    """Two-sample KS distance between the draws ``a`` and ``b``."""
+    return _check(name, ks_2samp(a, b).statistic, bound, detail)
+
+
+def _se_check(
+    name: str, mean: ArrayLike, target: ArrayLike, se: ArrayLike, detail: str = ""
+) -> CheckResult:
+    """Largest ``|mean - target|`` of a scalar or componentwise mean, in units of 3 ``se``."""
+    worst = np.max(np.abs(np.subtract(mean, target)) / np.multiply(3.0, se))
+    return _check(f"{name} (units of 3 se)", worst, 1.0, detail)
+
+
 def dense_test_model(
     p: int, q: int, seed: int, family: str = "tn"
 ) -> tuple[ModelSpec, NDArray]:
@@ -130,7 +143,7 @@ def _oracle_ks_check(
     """
     sampler = product_sampler(kind)
     rep = draw_blocks(_ORACLE_DRAWS, rep_seed, rep_stream, sampler, QuadraticCache(model, l), n)[0]
-    return _check(name, ks_2samp(rep, oracle).statistic, _ORACLE_KS, detail)
+    return _ks_check(name, rep, oracle, _ORACLE_KS, detail)
 
 
 def representation_vs_oracle(seed: int) -> list[CheckResult]:
@@ -194,13 +207,8 @@ def _moment_checks(seed: int) -> list[CheckResult]:
     n_ks = 20_000
     nc0 = sample_noncentral_chi_squared(7, 0.0, RngStream(seed, 4 * _STRIDE), n_ks)
     central = sample_chi_squared(7, RngStream(seed, 5 * _STRIDE), n_ks)
-    results.append(
-        _check(
-            "noncentral chi2 lambda=0 reduction (two-sample KS)",
-            ks_2samp(nc0, central).statistic,
-            0.02,
-        )
-    )
+    name = "noncentral chi2 lambda=0 reduction (two-sample KS)"
+    results.append(_ks_check(name, nc0, central, 0.02))
 
     draws = sample_noncentral_f(10, 10, 0.0, RngStream(seed, 6 * _STRIDE), n_big)
     results.append(_rel_err("F(10,10) mean rel err", draws.mean(), 1.25, 0.03))
@@ -258,9 +266,8 @@ def _sampling_moment_checks(seed: int) -> list[CheckResult]:
     resid = x.mean(axis=2) - nus @ model.b.T
     target_cov = model.sigma / n
     se = np.sqrt(np.diag(target_cov) / reps)
-    mean_dev = float(np.max(np.abs(resid.mean(axis=0) - model.mu) / (3.0 * se)))
     results.append(
-        _check("mean-vector marginal: componentwise mean (units of 3 se)", mean_dev, 1.0)
+        _se_check("mean-vector marginal: componentwise mean", resid.mean(axis=0), model.mu, se)
     )
     cov_rel = np.linalg.norm(np.cov(resid.T) - target_cov) / np.linalg.norm(target_cov)
     results.append(_check("mean-vector marginal: cov rel Frobenius", cov_rel, 0.05))
@@ -276,13 +283,8 @@ def _sampling_moment_checks(seed: int) -> list[CheckResult]:
     x_gal, _ = draw_blocks(reps, seed + 3, 13 * _STRIDE, sample_data_matrix, model_gal, n)
     tr_tn = np.trace(sample_mean_and_cov(x_tn).s_matrix, axis1=1, axis2=2)
     tr_gal = np.trace(sample_mean_and_cov(x_gal).s_matrix, axis1=1, axis2=2)
-    results.append(
-        _check(
-            "S invariant to mixing law (tr S two-sample KS)",
-            ks_2samp(tr_tn, tr_gal).statistic,
-            1.63 * math.sqrt(2.0 / reps),
-        )
-    )
+    name = "S invariant to mixing law (tr S two-sample KS)"
+    results.append(_ks_check(name, tr_tn, tr_gal, 1.63 * math.sqrt(2.0 / reps)))
     return results
 
 
@@ -327,8 +329,7 @@ def conditional_variance_cov(seed: int) -> list[CheckResult]:
     check, center, mean, se_mean = _fixed_shift_variance(
         ProductKind.COV_TIMES_MEAN, 200, 2000, seed, seed + 11, 14 * _STRIDE
     )
-    mean_dev = abs(mean - center) / (3.0 * se_mean)
-    return [check, _check("cov conditional mean (units of 3 se)", mean_dev, 1.0)]
+    return [check, _se_check("cov conditional mean", mean, center, se_mean)]
 
 
 def conditional_variance_precision(seed: int) -> list[CheckResult]:
@@ -346,10 +347,8 @@ def conditional_variance_precision(seed: int) -> list[CheckResult]:
     center_exact = (n - 1) / (n - p - 2) * center_asym * (1.0 - p / n)
     return [
         check,
-        _check(
-            "precision centering vs exact mean (units of 3 se)",
-            abs(mean - center_exact) / (3.0 * se_mean),
-            1.0,
+        _se_check(
+            "precision centering vs exact mean", mean, center_exact, se_mean,
             "exact conditional mean (n-1)/(n-p-2) * l'Sigma^{-1}mu_nu",
         ),
         _rel_err(
@@ -440,23 +439,22 @@ def determinant_identity_check(p: int, n: int, q: int, seed: int) -> CheckResult
     return _rel_err(name, ws.log_det_f, logdet_f, 1e-8)
 
 
+def _tiny_density(z1: NDArray, z2: NDArray) -> NDArray:
+    """Closed-form density of :data:`TINY_MODEL` at data ``[[z1[i], z2[j]]]``, as entry (i, j)."""
+    ws = build_workspace(TINY_MODEL, 2)
+    return np.array([[math.exp(log_density(ws, np.array([[a, b]]))) for b in z2] for a in z1])
+
+
 def normalization_check(seed: int) -> CheckResult:
     """The (1, 2, 1) matrix density integrates to one over a wide grid."""
-    model = TINY_MODEL
-    ws = build_workspace(model, 2)
-    shift_scale = 0.7 * math.sqrt(1.5)
-    lo = 0.3 - 10.0 * math.sqrt(0.8)
-    hi = 0.3 + shift_scale * 6.0 + 10.0 * math.sqrt(0.8)
+    mu, sd = float(TINY_MODEL.mu[0]), math.sqrt(float(TINY_MODEL.sigma[0, 0]))
+    shift_scale = float(TINY_MODEL.b[0, 0]) * math.sqrt(float(TINY_MODEL.nu.omega[0, 0]))
+    lo = mu - 10.0 * sd
+    hi = mu + shift_scale * 6.0 + 10.0 * sd
     nodes, weights = np.polynomial.legendre.leggauss(160)
     x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * weights
-    vals = np.array(
-        [
-            [math.exp(log_density(ws, np.array([[x1, x2]]))) for x2 in x]
-            for x1 in x
-        ]
-    )
-    integral = float(w @ vals @ w)
+    integral = float(w @ _tiny_density(x, x) @ w)
     return _check("density normalization at (1,2,1)", abs(integral - 1.0), 1e-3)
 
 
@@ -503,15 +501,12 @@ def log_density_mixture_quad(model: ModelSpec, z: NDArray) -> float:
 
 def mixture_agreement_check(seed: int) -> CheckResult:
     """Closed-form density versus direct mixing-integral quadrature."""
-    model = TINY_MODEL
-    ws = build_workspace(model, 2)
-    worst = 0.0
-    for z1 in np.linspace(-2.0, 4.0, 7):
-        for z2 in np.linspace(-2.0, 4.0, 7):
-            z = np.array([[z1, z2]])
-            dens = math.exp(log_density(ws, z))
-            ref = math.exp(log_density_mixture_quad(model, z))
-            worst = max(worst, abs(dens - ref))
+    grid = np.linspace(-2.0, 4.0, 7)
+    quad_ref = [
+        [math.exp(log_density_mixture_quad(TINY_MODEL, np.array([[a, b]]))) for b in grid]
+        for a in grid
+    ]
+    worst = np.max(np.abs(_tiny_density(grid, grid) - quad_ref))
     return _check("density vs mixing-integral quadrature at (1,2,1)", worst, 1e-6)
 
 
@@ -566,9 +561,7 @@ def collapse_check(seed: int) -> CheckResult:
 def _kde_density_consistency(seed: int) -> CheckResult:
     """2-D KDE of oracle draws against the closed-form density at (1,2,1)."""
     n_draws = 100_000
-    model = TINY_MODEL
-    ws = build_workspace(model, 2)
-    x, _ = draw_blocks(n_draws, seed, 19 * _STRIDE, sample_data_matrix, model, 2)
+    x, _ = draw_blocks(n_draws, seed, 19 * _STRIDE, sample_data_matrix, TINY_MODEL, 2)
     draws = x[:, 0, :]
     # Pointwise error at density ~0.05 is variance-dominated at this N, so
     # oversmooth relative to the MISE rate; the density is smooth enough
@@ -581,14 +574,11 @@ def _kde_density_consistency(seed: int) -> CheckResult:
         k = 0.5625 * (1 - u[inside, 0] ** 2) * (1 - u[inside, 1] ** 2)
         return float(k.sum() / (n_draws * h[0] * h[1]))
 
-    worst = 0.0
     grid = np.linspace(0.0, 2.0, 5)
-    for z1 in grid:
-        for z2 in grid:
-            dens = math.exp(log_density(ws, np.array([[z1, z2]])))
-            if dens <= 0.05:
-                continue
-            worst = max(worst, abs(kde2(np.array([z1, z2])) - dens) / dens)
+    dens = _tiny_density(grid, grid)
+    worst = max(
+        abs(kde2(grid[[i, j]]) - dens[i, j]) / dens[i, j] for i, j in np.argwhere(dens > 0.05)
+    )
     return _check("sampling vs density (2-D KDE rel err where density > 0.05)", worst, 0.10)
 
 

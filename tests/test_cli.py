@@ -719,12 +719,14 @@ def test_manifest_replay_other_blas_threads_warns(tmp_path, caplog):
 
 
 def test_samples_csv_chunks_match_one_join(tmp_path):
-    values = np.random.default_rng(3).standard_normal(2 * cli._CSV_CHUNK + 3)
-    values[:4] = [-0.0, 1e-300, 0.1, np.pi]
-    cli._write_samples(tmp_path / "samples.csv", values)
-    body = "\n".join(map("%.17g".__mod__, values.tolist()))
-    expected = ("standardized\n" + body + "\n").encode()
-    assert (tmp_path / "samples.csv").read_bytes() == expected
+    # One column, as samples.csv, and three, as the kde.csv of a figure.
+    values = np.random.default_rng(3).standard_normal((3, 2 * cli._CSV_CHUNK + 3))
+    values[:, :4] = [-0.0, 1e-300, 0.1, np.pi]
+    for header, columns in (("standardized", values[:1]), ("x,density,normal", values)):
+        cli._write_csv(tmp_path / "out.csv", header, *columns)
+        body = "\n".join(",".join(map("%.17g".__mod__, row)) for row in columns.T.tolist())
+        expected = (header + "\n" + body + "\n").encode()
+        assert (tmp_path / "out.csv").read_bytes() == expected
 
 
 def test_density_far_tail_exit_5_without_infinity(tmp_path, capsys):

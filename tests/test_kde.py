@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 
@@ -388,6 +389,40 @@ def test_scores_reject_non_finite_samples(score, bad):
     samples[17] = bad
     with pytest.raises(InvalidInputError, match="samples must be finite"):
         score(samples)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-300, 1e300], ids=["zero", "underflow", "overflow"])
+@pytest.mark.parametrize("score", [summarize, default_bandwidth_grid], ids=["summarize", "grid"])
+def test_spread_outside_bandwidth_range_is_named(score, scale):
+    # The standard deviation reads 0 at scales 0 and 1e-300 and overflows
+    # at 1e300; no bandwidth grid around it can be scored.
+    samples = scale * np.random.default_rng(15).standard_normal(500)
+    with pytest.raises(InvalidInputError, match="sample standard deviation"):
+        score(samples)
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e300, 0.0])
+@pytest.mark.parametrize(
+    "score",
+    [lambda s, h: lscv_scores(s, [0.5, h]), lambda s, h: epanechnikov_kde(s, h, np.zeros(3))],
+    ids=["lscv", "kde"],
+)
+def test_bandwidth_outside_range_is_named(score, h):
+    samples = np.random.default_rng(16).standard_normal(1000)
+    message = re.escape(f"must lie in [1e-50, 1e+50] (got {h:g})")
+    with pytest.raises(InvalidInputError, match=message):
+        score(samples, h)
+
+
+@pytest.mark.parametrize("power", [-150, 150])
+def test_lscv_scales_exactly_near_the_bandwidth_range_edges(power):
+    # Scaling by 2^power (about 1e-45 or 1e45) is exact, so every score is too.
+    samples = np.random.default_rng(17).standard_normal(3000)
+    grid, scale = default_bandwidth_grid(samples), 2.0**power
+    scores = lscv_scores(scale * samples, scale * grid)
+    assert np.array_equal(scores, lscv_scores(samples, grid) / scale)
+    bandwidth = summarize(scale * samples).bandwidth
+    assert bandwidth == pytest.approx(scale * summarize(samples).bandwidth)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
